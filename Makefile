@@ -22,12 +22,13 @@
 # regression fails); `make golden` regenerates the checked-in golden
 # firing traces under internal/sim/testdata/golden/ (the matrix test
 # fails CI on any unexplained drift — regenerate deliberately and commit
-# the diff).
+# the diff); `make loc` prints the code-size numbers (lines per package,
+# Database mutexes, Options fields) that simplification PRs quote.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test check race torture fuzz bench bench-smoke bench-gate golden clean
+.PHONY: all build vet test check race torture fuzz bench bench-smoke bench-gate golden loc clean
 
 all: check
 
@@ -102,6 +103,12 @@ bench-gate:
 # semantics; commit the diff with its justification.
 golden:
 	SENTINEL_GOLDEN_REGEN=1 $(GO) test -count=1 -run TestGoldenMatrix ./internal/sim/
+
+# Size of the system as numbers: non-test, non-comment Go lines per
+# internal/* package, the mutexes Database declares and the fields Options
+# has. A PR that claims to simplify quotes this before and after.
+loc:
+	@sh dev/loc.sh
 
 clean:
 	$(GO) clean

@@ -2,7 +2,8 @@ package main
 
 // Cold-open / demand-paging benchmarks (-json2): how fast a populated
 // database opens when application objects stay on disk versus full
-// materialization (Options.EagerLoad), plus the steady-state cost of
+// materialization (open, then touch every instance), plus the steady-state
+// cost of
 // faulting evicted objects back in. Written as a JSON artifact
 // (BENCH_2.json) so the open-latency claim is reproducible.
 
@@ -78,27 +79,38 @@ func populateColdDir(dir string, n int) ([]oid.OID, error) {
 	return ids, db.Close()
 }
 
-func coldOpts(dir string, maxResident int, eager bool) core.Options {
-	opts := core.Options{Dir: dir, Output: io.Discard, EagerLoad: eager}
-	if !eager {
-		// Options.Validate rejects a residency ceiling combined with eager
-		// materialization; the ceiling only applies to the lazy runs.
-		opts.MaxResidentObjects = maxResident
-	}
+func coldOpts(dir string, maxResident int) core.Options {
+	opts := core.Options{Dir: dir, Output: io.Discard, MaxResidentObjects: maxResident}
 	opts.Schema = func(db *core.Database) error { return bench.InstallOrgSchema(db) }
 	return opts
 }
 
 // timeOpen opens the database `rounds` times and returns the best
 // wall-clock duration plus the last handle's stats (the handle is closed).
-func timeOpen(dir string, maxResident int, eager bool, rounds int) (time.Duration, core.Snapshot, error) {
+// With touchAll the timed region also reads one attribute of every Employee,
+// so every application object is materialized: the eager baseline.
+func timeOpen(dir string, maxResident int, touchAll bool, rounds int) (time.Duration, core.Snapshot, error) {
 	best := time.Duration(1<<62 - 1)
 	var stats core.Snapshot
 	for i := 0; i < rounds; i++ {
 		start := time.Now()
-		db, err := core.Open(coldOpts(dir, maxResident, eager))
+		db, err := core.Open(coldOpts(dir, maxResident))
 		if err != nil {
 			return 0, stats, err
+		}
+		if touchAll {
+			err := db.Atomically(func(tx *core.Tx) error {
+				for _, id := range db.InstancesOf("Employee") {
+					if _, err := db.GetSys(tx, id, "salary"); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				db.Close()
+				return 0, stats, err
+			}
 		}
 		d := time.Since(start)
 		if d < best {
@@ -162,7 +174,7 @@ func runColdOpenBench(path string, population, maxResident int) error {
 
 	// Steady-state paging: random reads over the full population with the
 	// resident ceiling — most touches fault and trigger eviction churn.
-	db, err := core.Open(coldOpts(dir, maxResident, false))
+	db, err := core.Open(coldOpts(dir, maxResident))
 	if err != nil {
 		return err
 	}

@@ -272,7 +272,7 @@ func (c *Client) start(ctx context.Context, op byte, payload []byte) *Call {
 // writeLoop drains the out-queue, coalescing pending frames per flush.
 func (c *Client) writeLoop() {
 	defer c.wg.Done()
-	bw := newWriter(c.conn)
+	bw := wire.NewWriter(c.conn)
 	var buf []byte
 	for {
 		var f wire.Frame
@@ -305,7 +305,7 @@ func (c *Client) writeLoop() {
 // readLoop dispatches responses to pending calls and pushes to handlers.
 func (c *Client) readLoop() {
 	defer c.wg.Done()
-	br := newReader(c.conn)
+	br := wire.NewReader(c.conn)
 	var scratch []byte
 	for {
 		var (

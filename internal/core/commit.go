@@ -1,0 +1,454 @@
+package core
+
+// commit.go is the whole commit path: one straight-line list of stages
+// (commit, below), each a named function whose doc comment is one row of the
+// stage table in DESIGN.md §4k — what the stage may hold, what it may block
+// on, and what it publishes. The ordering rationale lives in that table and
+// nowhere else; a change to the commit path adds or edits a row.
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"time"
+
+	"sentinel/internal/obs"
+	"sentinel/internal/oid"
+	"sentinel/internal/rule"
+	"sentinel/internal/txn"
+	"sentinel/internal/wal"
+)
+
+// ErrHeapBehind is the fail-stop error after a heap write failed behind a
+// durable WAL commit record. That commit still counts — it shipped, its
+// versions installed, its caller saw success, and recovery replays it — but
+// the heap no longer mirrors the log, so every later data-bearing commit,
+// checkpoint and base-state capture is refused (a checkpoint would truncate
+// the WAL past the unapplied batch) until the database is reopened and redo
+// recovery repairs the heap.
+var ErrHeapBehind = errors.New("core: heap apply failed behind a durable commit; reopen the database to recover from the WAL")
+
+// heapErr returns the ErrHeapBehind fail-stop error once a heap apply failed
+// behind its commit record, nil before.
+func (db *Database) heapErr() error {
+	if e := db.heapBehind.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
+
+// commitState is what the stages of one commit hand to each other.
+type commitState struct {
+	lsn uint64 // MVCC commit LSN; 0 for a read-only commit
+	// batch is the logged WAL batch. It is non-nil exactly from a successful
+	// append in logCommit until shipCommit returns — the window in which the
+	// commit holds ckptMu shared.
+	batch   *commitScratch
+	replLSN uint64 // replication LSN of the batch; 0 when none was logged
+}
+
+// commitScratch is the reusable per-commit encoding state: the records
+// (commit record last), the class name of each, and one flat buffer every
+// object image of the batch is encoded into, so record framing stops
+// allocating per record. Commits run concurrently (they hold ckptMu only
+// shared), hence a sync.Pool rather than a Database field.
+type commitScratch struct {
+	recs    []wal.Record
+	classes []string
+	buf     []byte
+}
+
+var commitScratchPool = sync.Pool{New: func() any { return new(commitScratch) }}
+
+// Retention bounds so one huge commit does not pin a huge scratch forever.
+const (
+	maxCommitScratchBytes = 1 << 20
+	maxCommitScratchRecs  = 1024
+)
+
+// Commit finishes the transaction: deferred rules run first (inside the
+// transaction — they can still abort it), then the write set is logged and
+// applied, then detached rules launch in fresh transactions. An AbortError
+// from a deferred rule rolls everything back and is returned.
+//
+// Two errors report a transaction that DID commit durably: ErrFenced from
+// the quorum wait (a follower was promoted; the commit will never be
+// acknowledged and rejoining as a follower discards it) and, with
+// Options.AsyncDetached, ErrDetachedStopped (Close already stopped the
+// executor pool, so only the detached firings were dropped).
+func (db *Database) Commit(t *Tx) error {
+	if t.db != db {
+		return fmt.Errorf("core: transaction belongs to a different database")
+	}
+	if !t.Active() {
+		return txn.ErrNotActive
+	}
+	// Commits are low-frequency relative to raises, so the full duration —
+	// deferred drain, logging, fsync, detached dispatch — is always timed.
+	start := time.Now()
+	err := db.commit(t)
+	d := time.Since(start)
+	db.met.commitH.Observe(d)
+	if tr := db.tracer.Load(); tr != nil && tr.TxCommit != nil {
+		tr.TxCommit(obs.TxInfo{Tx: uint64(t.inner.ID()), Duration: d, Err: err})
+	}
+	return err
+}
+
+// commit is the stage list. Up to and including logCommit a failure aborts
+// the transaction; once logCommit returned nil the commit record is in the
+// WAL and every later stage runs, whatever happens. A fenced quorum wait
+// skips only the two stages that publish the commit to the outside.
+func (db *Database) commit(t *Tx) error {
+	if err := db.drainDeferred(t); err != nil {
+		db.Abort(t)
+		return err
+	}
+	var c commitState
+	if err := db.logCommit(t, &c); err != nil {
+		db.Abort(t)
+		return fmt.Errorf("core: commit not durable (transaction aborted): %w", err)
+	}
+	db.applyCommit(&c)
+	db.shipCommit(t, &c)
+	db.installCommit(t, &c)
+	db.releaseCommit(t)
+	err := db.awaitQuorum(&c)
+	if err == nil {
+		db.publishCommit(t)
+	}
+	db.reclaimCommit(t)
+	if err == nil {
+		err = db.dispatchDetached(t)
+	}
+	return err
+}
+
+// drainDeferred runs deferred-coupling rules until quiescent (§4.4): rules
+// fired here may write, raise events, and schedule more deferred work.
+//
+//	holds:     the transaction's 2PL locks and pins
+//	blocks on: whatever rule bodies block on (2PL waits; deadlock victims abort)
+//	publishes: nothing — every effect is in the transaction and undoable
+func (db *Database) drainDeferred(t *Tx) error {
+	for t.deferred.Len() > 0 {
+		batch := t.deferred.Drain()
+		for i := range batch {
+			if err := db.runFiring(t, &batch[i], 1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// logCommit is the decision point: it allocates the MVCC commit LSN, encodes
+// the persistent part of the write set and appends it to the WAL through
+// group commit (concurrent committers share one write and, with
+// SyncOnCommit, one fsync). An error — a fenced primary, a heap already
+// behind its log, a failed append — leaves nothing in the WAL and the caller
+// aborts; nil means recovery will replay this transaction.
+//
+//	holds:     2PL locks, pins; takes ckptMu shared and keeps it for applyCommit and shipCommit
+//	blocks on: ckptMu (a running checkpoint or base-state capture), the WAL group-commit flush
+//	publishes: the commit record
+func (db *Database) logCommit(t *Tx, c *commitState) error {
+	if len(t.dirty) == 0 && len(t.created) == 0 && len(t.deleted) == 0 {
+		return nil // read-only (incl. snapshot transactions): nothing to log or install
+	}
+	// Nothing a fenced (deposed) primary writes can ever be acknowledged
+	// (see Database.Fence), so it adds nothing to its history.
+	if db.fenced.Load() {
+		db.met.fencedWrites.Add(1)
+		return ErrFenced
+	}
+	if err := db.heapErr(); err != nil {
+		return err
+	}
+	// Bump versions on touched objects regardless of persistence. Safe
+	// against concurrent snapshot readers: every dirty object either has an
+	// open writer window (readers serve its chain, not the object) or is an
+	// uncommitted create (invisible to every snapshot).
+	for id := range t.dirty {
+		if o := db.objectByID(id); o != nil {
+			o.BumpVersion()
+		}
+	}
+	c.lsn = db.lsn.begin()
+	if db.store == nil {
+		return nil
+	}
+	sc := encodeWriteSet(db, t)
+	if len(sc.recs) == 0 {
+		sc.release()
+		return nil
+	}
+	db.ckptMu.RLock()
+	if err := db.log.CommitBatch(sc.recs, db.opts.SyncOnCommit); err != nil {
+		db.ckptMu.RUnlock()
+		db.lsn.end(c.lsn) // abandoned: nothing installs at this LSN
+		sc.release()
+		return err
+	}
+	c.batch = sc
+	return nil
+}
+
+// encodeWriteSet builds the WAL batch for the transaction's persistent write set:
+// one update per live created or dirty object, one delete per deleted
+// pre-existing object, then the commit record. Images are encoded into the
+// pooled flat buffer; each record's Data is a capped sub-slice, so a later
+// realloc of the buffer cannot alias over it.
+func encodeWriteSet(db *Database, t *Tx) *commitScratch {
+	sc := commitScratchPool.Get().(*commitScratch)
+	recs, classes, buf := sc.recs[:0], sc.classes[:0], sc.buf[:0]
+	txid := uint64(t.inner.ID())
+	addUpdate := func(id oid.OID) {
+		o := db.objectByID(id)
+		if o == nil || !o.Class().Persistent {
+			return
+		}
+		start := len(buf)
+		buf = o.Encode(buf)
+		recs = append(recs, wal.Record{Type: wal.RecUpdate, Tx: txid, OID: id, Data: buf[start:len(buf):len(buf)]})
+		classes = append(classes, o.Class().Name)
+	}
+	for id := range t.created {
+		if !t.deleted[id] {
+			addUpdate(id)
+		}
+	}
+	for id := range t.dirty {
+		if !t.created[id] && !t.deleted[id] {
+			addUpdate(id)
+		}
+	}
+	for id := range t.deleted {
+		if !t.created[id] {
+			recs = append(recs, wal.Record{Type: wal.RecDelete, Tx: txid, OID: id})
+			classes = append(classes, "")
+		}
+	}
+	if len(recs) > 0 {
+		recs = append(recs, wal.Record{Type: wal.RecCommit, Tx: txid})
+	}
+	sc.recs, sc.classes, sc.buf = recs, classes, buf
+	return sc
+}
+
+// release returns the encode buffers to the pool. The WAL append, the heap
+// apply and the ship hook all copy, so nothing retains the record Data past
+// shipCommit; the pointers are zeroed so the pool pins no images.
+func (sc *commitScratch) release() {
+	for i := range sc.recs {
+		sc.recs[i].Data = nil
+	}
+	if cap(sc.recs) > maxCommitScratchRecs {
+		sc.recs, sc.classes = nil, nil
+	}
+	if cap(sc.buf) > maxCommitScratchBytes {
+		sc.buf = nil
+	}
+	commitScratchPool.Put(sc)
+}
+
+// applyCommit applies the logged batch to the heap (redo applied eagerly;
+// the log protects it), records each image's class in the heap-class catalog
+// and marks the written directory entries clean — evictable again. A heap
+// error cannot un-commit: the first one stops the apply (the remaining
+// entries stay dirty, hence resident, so memory keeps the committed state)
+// and puts the database into the ErrHeapBehind fail-stop.
+//
+//	holds:     2PL locks, pins, ckptMu shared
+//	blocks on: buffer-pool page I/O
+//	publishes: heap images, heap-class catalog entries, clean bits
+func (db *Database) applyCommit(c *commitState) {
+	if c.batch == nil {
+		return
+	}
+	for i, r := range c.batch.recs {
+		var err error
+		switch r.Type {
+		case wal.RecUpdate:
+			if err = db.store.Put(r.OID, r.Data); err == nil {
+				db.setHeapClass(r.OID, c.batch.classes[i])
+				db.dir.setDirty(r.OID, false)
+			}
+		case wal.RecDelete:
+			if err = db.store.Delete(r.OID); err == nil {
+				db.delHeapClass(r.OID)
+			}
+		}
+		if err != nil {
+			err = fmt.Errorf("%w (object %s: %v)", ErrHeapBehind, r.OID, err)
+			db.heapBehind.CompareAndSwap(nil, &err)
+			return
+		}
+	}
+}
+
+// shipCommit numbers the logged batch with the next replication LSN and
+// hands it to the replicator, together with the occurrences the transaction
+// raised. The LSN advances whether or not anything is attached: it counts
+// the database's committed batches, and a follower attaching later needs the
+// count dense. Under group commit every coalesced transaction gets its own
+// LSN here; follower acks are monotone, so one ack at the highest satisfies
+// every quorum waiter below it. Ship only encodes and buffers (see
+// Replicator). ckptMu is released on the way out: the heap now holds exactly
+// the batches numbered 1..replLSN, which is what Checkpoint and
+// ReplBaseState record under the exclusive lock.
+//
+//	holds:     2PL locks (dependent commits ship in commit order), pins, ckptMu shared, replMu
+//	blocks on: replMu only — another committer's encode-and-buffer
+//	publishes: the replication LSN; the batch, to the replicator's ring
+func (db *Database) shipCommit(t *Tx, c *commitState) {
+	if c.batch == nil {
+		return
+	}
+	db.replMu.Lock()
+	db.replLSN++
+	c.replLSN = db.replLSN
+	if ship := db.repl.Load().Ship; ship != nil {
+		ship(ReplBatch{LSN: c.replLSN, Recs: c.batch.recs, Occs: t.replOccs})
+		t.replOccs = nil
+	}
+	db.replMu.Unlock()
+	db.ckptMu.RUnlock()
+	c.batch.release()
+	c.batch = nil
+}
+
+// installCommit publishes the write set's versions at the commit LSN and
+// then marks the LSN stable. With the 2PL locks still held no snapshot at or
+// above the LSN exists until every entry is installed, and per-object LSN
+// order equals commit order.
+//
+//	holds:     2PL locks, pins; directory shard locks, one at a time
+//	blocks on: nothing
+//	publishes: the new versions to snapshot readers; the stable LSN
+func (db *Database) installCommit(t *Tx, c *commitState) {
+	if c.lsn == 0 {
+		return
+	}
+	db.installVersions(t, c.lsn)
+	db.lsn.end(c.lsn)
+}
+
+// releaseCommit ends the transaction: 2PL locks, then the directory pins
+// (undo closures can no longer run), then the snapshot registration.
+// Detectors of tx-scoped rules the transaction fed reset here.
+//
+//	holds:     nothing on return
+//	blocks on: nothing
+//	publishes: the write set to lock waiters
+func (db *Database) releaseCommit(t *Tx) {
+	t.finished = true
+	t.resetTouched()
+	_ = t.inner.Commit(nil) // cannot fail: Active was checked and only this goroutine ends t
+	t.releasePins()
+	t.releaseSnapshot()
+}
+
+// awaitQuorum blocks until Options.SyncReplicas followers durably acked the
+// commit's batch. A timeout degrades the commit to asynchronous (counted,
+// not failed). ErrFenced means a follower was promoted while we waited: the
+// commit is durable here but will never be acknowledged.
+//
+//	holds:     nothing — the ack path (follower sessions → Replicator) shares no state with this goroutine
+//	blocks on: follower acks, bounded by Options.QuorumTimeout
+//	publishes: nothing
+func (db *Database) awaitQuorum(c *commitState) error {
+	k := db.opts.SyncReplicas
+	wait := db.repl.Load().WaitQuorum
+	if k <= 0 || c.replLSN == 0 || wait == nil {
+		return nil
+	}
+	err := wait(c.replLSN, k, db.opts.QuorumTimeout)
+	if errors.Is(err, ErrQuorumTimeout) {
+		db.met.quorumDegraded.Add(1)
+		return nil
+	}
+	return err
+}
+
+// publishCommit lets the commit's occurrences leave the process: matched
+// remote-sink pushes first (ahead of detached dispatch, so a subscriber
+// watching both an event and a detached rule's effect sees them in that
+// order), then, for occurrences no shipped batch carried (the commit logged
+// nothing), an event-only batch so follower-side subscribers see what
+// primary-side ones do. Skipped on ErrFenced.
+//
+//	holds:     nothing; replMu around the event-only Ship
+//	blocks on: nothing — DeliverEvent and Ship enqueue into bounded buffers
+//	publishes: occurrences to remote subscribers and followers
+func (db *Database) publishCommit(t *Tx) {
+	db.fanoutPushes(t.pushes)
+	t.pushes = nil
+	if len(t.replOccs) > 0 {
+		db.replMu.Lock()
+		if ship := db.repl.Load().Ship; ship != nil {
+			ship(ReplBatch{Occs: t.replOccs})
+		}
+		db.replMu.Unlock()
+		t.replOccs = nil
+	}
+}
+
+// reclaimCommit frees what the commit made dead. Committed deletes drop
+// their tombstoned entries once no active snapshot can still read them
+// (usually at once; otherwise the chain sweep does when that snapshot
+// releases); the sweep prunes version chains; the WAL is checkpointed when
+// it outgrew Options.CheckpointBytes; and residency is trimmed — a
+// create-heavy transaction grows it without faulting, and commit is where
+// its entries turned clean. It runs for every commit that reached the WAL,
+// fenced or not; only the ErrHeapBehind fail-stop skips it, because there
+// the directory holds the sole copy of the unapplied batch.
+//
+//	holds:     nothing on entry; shard locks, ccMu, and — for a checkpoint — ckptMu exclusive
+//	blocks on: checkpoint I/O, and ckptMu behind commits between logCommit and shipCommit
+//	publishes: freed entries; a truncated WAL
+func (db *Database) reclaimCommit(t *Tx) {
+	if db.heapErr() != nil {
+		return
+	}
+	if len(t.deleted) > 0 {
+		w := db.watermark()
+		for id := range t.deleted {
+			db.dir.dropDeleted(id, w)
+			db.pruneConsumerState(id)
+		}
+	}
+	db.maybeSweepChains()
+	db.maybeAutoCheckpoint()
+	db.maybeEvict()
+}
+
+// dispatchDetached launches the commit's detached-coupling firings, each in
+// its own transaction after the triggering one committed (§4.4), in
+// conflict-resolution order. With the executor pool running they are
+// enqueued atomically — ErrDetachedStopped once Close stopped it; the
+// transaction is durable, only its firings are dropped. Without a pool
+// (AsyncDetached off, or a schema hook committing before Open started it)
+// they run here, synchronously. Skipped on ErrFenced.
+//
+//	holds:     nothing
+//	blocks on: queue backpressure (pool workers bypass it); synchronous mode runs whole transactions
+//	publishes: the firings to the executor pool
+func (db *Database) dispatchDetached(t *Tx) error {
+	if len(t.detached) == 0 {
+		return nil
+	}
+	agenda := rule.NewAgenda(db.currentStrategy())
+	for _, f := range t.detached {
+		agenda.AddFiring(f)
+	}
+	t.detached = nil
+	ordered := agenda.Drain()
+	if db.detached != nil {
+		return db.detached.enqueue(ordered, t.fromDetachedWorker)
+	}
+	for i := range ordered {
+		db.execDetached(&ordered[i], false)
+	}
+	return nil
+}

@@ -28,7 +28,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sentinel/internal/event"
 	"sentinel/internal/heap"
@@ -56,9 +55,8 @@ type Database struct {
 	// mu protects the runtime catalogs below. It is a reader/writer lock:
 	// the event hot path (consumer resolution, object lookup, strategy
 	// reads, stats snapshots) takes it shared, so concurrent transactions
-	// raising events do not serialize on catalog mutation locks. Lock
-	// hierarchy: fnMu (registry) → mu → ccMu → per-object txn locks; never
-	// acquire in the other direction.
+	// raising events do not serialize on catalog mutation locks. Its place
+	// in the lock order is in DESIGN.md §4k.
 	mu            sync.RWMutex
 	names         map[string]oid.OID
 	nameObjs      map[string]oid.OID
@@ -79,13 +77,8 @@ type Database struct {
 	// object lookups go through it, missing entries fault in from the
 	// heap, and the clock evictor reclaims clean unpinned residents when
 	// MaxResidentObjects is exceeded. It is its own synchronization
-	// domain — shard locks are leaves in the lock hierarchy.
+	// domain — shard locks are leaves in the lock order.
 	dir *objDirectory
-
-	// flight tracks in-progress fault-ins per OID (singleflight): the
-	// first faulter decodes, concurrent ones wait and share the result.
-	flightMu sync.Mutex
-	flight   map[oid.OID]*dirFlight
 
 	// evicting serializes clock sweeps (one at a time; extra faulters
 	// skip instead of queueing).
@@ -109,21 +102,22 @@ type Database struct {
 	heapCat  map[oid.OID]string
 	catNames map[string]string
 
-	// ckptMu fences checkpoints against commits: writeCommit holds it
-	// shared for the WAL-append + heap-apply window, Checkpoint holds it
-	// exclusively for flush + truncate, so a commit can never land its
-	// WAL records between the heap flush and the log truncation (which
-	// would silently drop it).
+	// ckptMu fences checkpoints against commits: a commit holds it shared
+	// from its WAL append through heap apply and ship (commit.go),
+	// Checkpoint holds it exclusively for flush + truncate, so a commit can
+	// never land its WAL records between the heap flush and the log
+	// truncation (which would silently drop it). heapBehind is the
+	// ErrHeapBehind fail-stop: set once, by a commit whose heap apply failed
+	// behind its commit record.
 	ckptMu      sync.RWMutex
 	ckptRunning atomic.Bool
+	heapBehind  atomic.Pointer[error]
 
-	// fnMu guards the named condition/action function registries. They are
-	// written during schema setup and read when rules compile — never on
-	// the event hot path — so they get their own lock instead of riding on
-	// mu.
-	fnMu    sync.RWMutex
-	condFns map[string]rule.Condition
-	actFns  map[string]rule.Action
+	// condFns / actFns are the named condition/action function registries
+	// ("go:name" → rule.Condition / rule.Action): written during schema
+	// setup, read when rules compile, never on the event hot path.
+	condFns sync.Map
+	actFns  sync.Map
 
 	// Consumer-resolution cache (see consumers.go). Invalidation is
 	// selective: a mutation deletes only the entries derived from the
@@ -164,32 +158,29 @@ type Database struct {
 	sinkCount atomic.Int64
 
 	// Replication state (see repl.go). replMu orders shipped batches: the
-	// commit path holds it for LSN assignment + the ship callback, so
-	// followers see batches in a valid serialization order (conflicting
-	// commits are already ordered by 2PL; replMu linearizes the rest).
-	// replLSN counts committed WAL batches since database creation; it is
-	// persisted in the checkpoint meta and recovered as meta-LSN + replayed
-	// commit count. replShip is the primary-side shipping hook; replCollect
-	// mirrors its presence so raise collects occurrences for fan-out with
-	// one atomic load. applyMu serializes follower-side ApplyReplicated.
-	// replEpoch is the replication epoch this database's history belongs
-	// to: bumped (and checkpointed) every time a primary starts over this
-	// directory, persisted next to replLSN in the checkpoint meta so the
-	// pair (epoch, LSN) names a position in exactly one history. fenced
-	// flips when a newer epoch is observed (a follower was promoted); a
-	// fenced database aborts every data-bearing commit with ErrFenced so a
-	// deposed primary can never ack a write. replQuorum is the
-	// quorum-commit wait installed by internal/repl's Primary: doCommit
-	// calls it after local durability with no locks held.
-	replMu      sync.Mutex
-	replLSN     uint64
-	replEpoch   uint64
-	replShip    func(ReplBatch)
-	replCollect atomic.Bool
-	applyMu     sync.Mutex
-	replInfo    atomic.Pointer[func() (peers int, minApplied uint64)]
-	replQuorum  atomic.Pointer[func(lsn uint64, k int, timeout time.Duration) error]
-	fenced      atomic.Bool
+	// commit path holds it for LSN assignment + Replicator.Ship, so followers
+	// see batches in a valid serialization order (conflicting commits are
+	// already ordered by 2PL; replMu linearizes the rest). replLSN counts
+	// committed WAL batches since database creation; it is persisted in the
+	// checkpoint meta and recovered as meta-LSN + replayed commit count.
+	// replEpoch is the replication epoch this database's history belongs to:
+	// bumped (and checkpointed) every time a primary starts over this
+	// directory, persisted next to replLSN so the pair (epoch, LSN) names a
+	// position in exactly one history. repl is the installed Replicator
+	// (never nil; the zero value means none), swapped under replMu and read
+	// lock-free — raise collects occurrences for shipping iff its Ship is
+	// set. fenced flips when a newer epoch is observed (a follower was
+	// promoted); a fenced database aborts every data-bearing commit with
+	// ErrFenced so a deposed primary can never ack a write. applyMu
+	// serializes follower-side ApplyReplicated/ApplyBaseState; it is not
+	// replMu because an apply reads and writes the position (and
+	// ApplyBaseState checkpoints) while holding it.
+	replMu    sync.Mutex
+	replLSN   uint64
+	replEpoch uint64
+	repl      atomic.Pointer[Replicator]
+	applyMu   sync.Mutex
+	fenced    atomic.Bool
 
 	// met is the metric set (counters, histograms, gauges, slow-rule log);
 	// tracer is the installed obs.Tracer (nil when none — the hot path
@@ -236,8 +227,6 @@ func Open(opts Options) (*Database, error) {
 		funcConsumers:  make(map[oid.OID][]*FuncConsumer),
 		namedEvents:    make(map[string]*event.Expr),
 		eventObjs:      make(map[string]oid.OID),
-		condFns:        make(map[string]rule.Condition),
-		actFns:         make(map[string]rule.Action),
 		indexes:        make(map[idxKey]*index.Hash),
 		indexObjs:      make(map[idxKey]oid.OID),
 		indexByClass:   make(map[string][]*index.Hash),
@@ -248,6 +237,7 @@ func Open(opts Options) (*Database, error) {
 		classDeps:      make(map[string]map[oid.OID]struct{}),
 		strategy:       strat,
 	}
+	db.repl.Store(&Replicator{})
 	db.met = newCoreMetrics(db, opts)
 	if err := db.bootstrapSystemClasses(); err != nil {
 		return nil, err

@@ -224,7 +224,7 @@ func (p *detachedPool) worker(idx int) {
 		p.room.Signal()
 		p.mu.Unlock()
 
-		p.db.execDetachedPooled(&t.f)
+		p.db.execDetached(&t.f, true)
 		p.db.met.detachedFirings.Inc()
 		if perWorker != nil {
 			perWorker.Inc()
@@ -308,12 +308,12 @@ func (p *detachedPool) snapshot() (queued, inflight int) {
 	return queued, inflight
 }
 
-// execDetachedPooled runs one detached firing in its own transaction on a
-// pool worker. The transaction is marked so chained dispatches from its
-// commit bypass queue backpressure.
-func (db *Database) execDetachedPooled(f *rule.Firing) {
+// execDetached runs one detached firing in its own transaction. fromWorker
+// marks transactions begun by a pool worker: chained dispatches from their
+// commits bypass queue backpressure (point 3 above).
+func (db *Database) execDetached(f *rule.Firing, fromWorker bool) {
 	dtx := db.Begin()
-	dtx.fromDetachedWorker = true
+	dtx.fromDetachedWorker = fromWorker
 	if err := db.runDetachedFiring(dtx, f, 1); err != nil {
 		db.Abort(dtx)
 		return
@@ -322,6 +322,17 @@ func (db *Database) execDetachedPooled(f *rule.Firing) {
 	// by an abandoning stop surfaces as ErrDetachedStopped and is dropped
 	// with the rest of the queue.
 	_ = db.Commit(dtx)
+}
+
+// WaitIdle blocks until every asynchronously dispatched detached rule has
+// finished, including detached work those rules' own commits enqueued (a
+// chained firing enqueues while its parent is still in flight, so the
+// pool's pending count only reaches zero at true quiescence). A no-op
+// when AsyncDetached is off.
+func (db *Database) WaitIdle() {
+	if db.detached != nil {
+		db.detached.waitIdle()
+	}
 }
 
 // stopDetachedPool retires the executor pool if one was started.

@@ -5,7 +5,7 @@ package core
 // -race across every supported pool size, per-object ordering while Close
 // races a committer, and the pooled commit-scratch allocation budget. These
 // live in package core because they pin unexported internals (the pool,
-// writeCommit's scratch) alongside the public Options surface.
+// the commit scratch) alongside the public Options surface.
 
 import (
 	"errors"
@@ -265,7 +265,7 @@ func TestCloseWhileDrainingOrdering(t *testing.T) {
 	}
 }
 
-// TestCommitScratchBudget pins the pooled writeCommit scratch: the
+// TestCommitScratchBudget pins the pooled commit scratch: the
 // allocation cost of committing extra dirty records must stay within a
 // small per-record budget. Before pooling, each record cost a fresh encode
 // buffer plus a WAL payload slice on top of the locking bookkeeping; the

@@ -11,7 +11,7 @@ package core
 //     closures). Pinned entries are never evicted.
 //   - dirty: the in-memory state is ahead of the heap image; eviction would
 //     lose committed-in-progress work, so dirty entries are wired until
-//     their commit writes them back (writeCommit marks them clean).
+//     their commit writes them back (applyCommit marks them clean).
 //   - noEvict: system objects (rules, events, subscriptions, bindings,
 //     class/index catalogs) and instances of non-persistent classes have no
 //     rebuildable disk image or are needed for catalog consistency; they
@@ -23,10 +23,9 @@ package core
 //   - ref: the second-chance (clock) reference bit, set on every hit and
 //     cleared by the evictor's first pass over an entry.
 //
-// Shard mutexes are leaves in the lock hierarchy (fnMu → mu → ccMu → shard /
-// catMu → txn object locks): directory methods never call back into the
-// Database, and Database code never acquires mu or ccMu while holding a
-// shard lock.
+// Shard mutexes are leaves in the lock order (DESIGN.md §4k): directory
+// methods never call back into the Database, and Database code never
+// acquires mu or ccMu while holding a shard lock.
 
 import (
 	"sync"
@@ -89,6 +88,17 @@ type dirShard struct {
 	// committed delete awaiting the watermark), so prune sweeps touch only
 	// them instead of scanning the whole shard.
 	chained map[oid.OID]bool
+	// flights holds the in-progress fault-ins of this shard's OIDs
+	// (singleflight, see joinFlight). Lazily allocated.
+	flights map[oid.OID]*dirFlight
+}
+
+// dirFlight is one in-progress fault: followers wait on done and share the
+// leader's result instead of decoding the image again.
+type dirFlight struct {
+	done chan struct{}
+	obj  *object.Object
+	err  error
 }
 
 // objDirectory is the sharded resident-object directory.
@@ -115,6 +125,34 @@ func newObjDirectory() *objDirectory {
 
 func (d *objDirectory) shard(id oid.OID) *dirShard {
 	return &d.shards[uint64(id)%dirShardCount]
+}
+
+// joinFlight makes the caller the leader of id's fault-in, or hands it the
+// flight already in progress: the first faulter decodes, concurrent ones
+// wait on f.done and share the result.
+func (d *objDirectory) joinFlight(id oid.OID) (f *dirFlight, leader bool) {
+	s := d.shard(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f = s.flights[id]; f != nil {
+		return f, false
+	}
+	f = &dirFlight{done: make(chan struct{})}
+	if s.flights == nil {
+		s.flights = make(map[oid.OID]*dirFlight)
+	}
+	s.flights[id] = f
+	return f, true
+}
+
+// endFlight retires the leader's flight and releases its followers. The
+// leader fills f.obj / f.err first.
+func (d *objDirectory) endFlight(id oid.OID, f *dirFlight) {
+	s := d.shard(id)
+	s.mu.Lock()
+	delete(s.flights, id)
+	s.mu.Unlock()
+	close(f.done)
 }
 
 // get returns the resident object for id. found reports whether the

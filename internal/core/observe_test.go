@@ -42,8 +42,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative sampling", Options{MetricsSampling: -1}, "MetricsSampling"},
 		{"unknown strategy", Options{Strategy: "random"}, "strategy"},
 		{"ceiling without dir", Options{MaxResidentObjects: 8}, "Dir is empty"},
-		{"eager without dir", Options{EagerLoad: true}, "Dir is empty"},
-		{"eager with ceiling", Options{Dir: "x", EagerLoad: true, MaxResidentObjects: 8}, "pick one"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

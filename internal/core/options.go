@@ -45,8 +45,7 @@ type Options struct {
 	// are evicted (second-chance clock) and fault back in from the heap on
 	// next touch. 0 (default) disables eviction — objects still fault in
 	// lazily, but nothing is ever reclaimed. Requires Dir (an in-memory
-	// database has no heap to evict to) and is incompatible with
-	// EagerLoad.
+	// database has no heap to evict to).
 	MaxResidentObjects int
 	// CheckpointBytes triggers an automatic checkpoint (heap flush + WAL
 	// truncation) when the WAL grows past this many bytes, bounding both
@@ -54,11 +53,6 @@ type Options struct {
 	// disables auto-checkpointing (checkpoints happen only at open/close
 	// or explicit Checkpoint calls).
 	CheckpointBytes int64
-	// EagerLoad restores the pre-paging behaviour of materializing every
-	// heap object at open. Useful as a benchmark baseline and for
-	// workloads that touch the entire database immediately anyway.
-	// Requires Dir and is incompatible with MaxResidentObjects.
-	EagerLoad bool
 	// VFS is the filesystem the storage stack (WAL, heap, buffer pool)
 	// runs on. Nil (the default) means the real OS filesystem. Tests
 	// substitute vfs.NewMem for hermetic in-memory storage or vfs.NewFault
@@ -236,14 +230,8 @@ func (o Options) Validate() error {
 	if o.MaxResidentObjects > 0 && o.Dir == "" {
 		errs = append(errs, errors.New("MaxResidentObjects is set but Dir is empty: an in-memory database has no heap to evict to; set Dir or drop the ceiling"))
 	}
-	if o.EagerLoad && o.Dir == "" {
-		errs = append(errs, errors.New("EagerLoad is set but Dir is empty: an in-memory database has nothing to load; set Dir or drop EagerLoad"))
-	}
 	if o.VFS != nil && o.Dir == "" {
 		errs = append(errs, errors.New("VFS is set but Dir is empty: an in-memory database never touches a filesystem; set Dir or drop VFS"))
-	}
-	if o.EagerLoad && o.MaxResidentObjects > 0 {
-		errs = append(errs, errors.New("EagerLoad and MaxResidentObjects are both set: eagerly materializing every object directly contradicts a residency ceiling; pick one"))
 	}
 	if o.Replica && o.Dir == "" {
 		errs = append(errs, errors.New("Replica is set but Dir is empty: a follower replays the shipped log into local storage; set Dir or drop Replica"))

@@ -1,11 +1,12 @@
 package core
 
 // pager.go is the demand-paging layer between the resident directory and the
-// heap: fault-in (with per-OID singleflight so concurrent faulters decode an
-// image once), the eviction driver, and the heap-class catalog — a small
-// OID → class-name map mirroring the heap's committed population so
-// "iterate the directory ∪ heap" operations (InstancesOf, Dump, integrity,
-// index rebuild, Stats) know what lives on disk without decoding it.
+// heap: fault-in (with the directory's per-OID singleflight, so concurrent
+// faulters decode an image once), the eviction driver, and the heap-class
+// catalog — a small OID → class-name map mirroring the heap's committed
+// population so "iterate the directory ∪ heap" operations (InstancesOf,
+// Dump, integrity, index rebuild, Stats) know what lives on disk without
+// decoding it.
 
 import (
 	"fmt"
@@ -15,14 +16,6 @@ import (
 	"sentinel/internal/obs"
 	"sentinel/internal/oid"
 )
-
-// dirFlight is one in-progress fault: followers wait on done and share the
-// leader's result instead of decoding the image again.
-type dirFlight struct {
-	done chan struct{}
-	obj  *object.Object
-	err  error
-}
 
 // faultObject returns the live object for id: a directory hit, or a decode
 // from the heap published into the directory. A tombstoned entry (deleted by
@@ -38,9 +31,8 @@ func (db *Database) faultObject(id oid.OID) (*object.Object, error) {
 		return nil, nil
 	}
 
-	db.flightMu.Lock()
-	if f := db.flight[id]; f != nil {
-		db.flightMu.Unlock()
+	f, leader := db.dir.joinFlight(id)
+	if !leader {
 		<-f.done
 		if f.err != nil {
 			return nil, f.err
@@ -55,19 +47,8 @@ func (db *Database) faultObject(id oid.OID) (*object.Object, error) {
 		}
 		return f.obj, nil
 	}
-	f := &dirFlight{done: make(chan struct{})}
-	if db.flight == nil {
-		db.flight = make(map[oid.OID]*dirFlight)
-	}
-	db.flight[id] = f
-	db.flightMu.Unlock()
-
 	f.obj, f.err = db.loadFromHeap(id, true)
-
-	db.flightMu.Lock()
-	delete(db.flight, id)
-	db.flightMu.Unlock()
-	close(f.done)
+	db.dir.endFlight(id, f)
 
 	if f.err != nil {
 		return nil, f.err

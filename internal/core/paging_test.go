@@ -122,10 +122,13 @@ func TestPagedDumpMatchesEager(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eagerOpts := pagedOpts(dir, 0) // no ceiling
-	eagerOpts.EagerLoad = true
-	db2 := core.MustOpen(eagerOpts)
+	// No ceiling, and every instance touched: the whole population is
+	// resident when the second dump runs.
+	db2 := core.MustOpen(pagedOpts(dir, 0))
 	defer db2.Close()
+	for _, id := range db2.InstancesOf("Employee") {
+		salaryOf(t, db2, id)
+	}
 	var eager strings.Builder
 	if err := db2.DumpDSL(&eager); err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ import (
 // open, by heap scan after recovery), materializes the *system* objects,
 // and rebuilds the runtime catalogs — DSL classes, named events, rules,
 // subscriptions and name bindings — from them. Application objects stay on
-// disk and fault in on first touch (unless Options.EagerLoad).
+// disk and fault in on first touch.
 func (db *Database) openStorage() error {
 	fsys := db.opts.VFS
 	if fsys == nil {
@@ -152,20 +152,6 @@ func (db *Database) openStorage() error {
 
 	if err := db.loadSystemObjects(); err != nil {
 		return err
-	}
-
-	if db.opts.EagerLoad {
-		db.catMu.RLock()
-		ids := make([]oid.OID, 0, len(db.heapCat))
-		for id := range db.heapCat {
-			ids = append(ids, id)
-		}
-		db.catMu.RUnlock()
-		for _, id := range ids {
-			if _, err := db.faultObject(id); err != nil {
-				return err
-			}
-		}
 	}
 
 	// Start the next epoch from a clean checkpoint when recovery changed
@@ -431,13 +417,18 @@ func (db *Database) rebuildRule(o *object.Object) error {
 // index and metadata (including the heap-class catalog) atomically, and
 // truncates the WAL. After a checkpoint, recovery restarts from this state.
 // It holds ckptMu exclusively so no commit can append WAL records between
-// the heap flush and the log truncation (those records would vanish).
+// the heap flush and the log truncation (those records would vanish), and
+// refuses with ErrHeapBehind once the heap lags the log: truncating then
+// would lose the unapplied batch.
 func (db *Database) Checkpoint() error {
 	if db.store == nil {
 		return nil
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
+	if err := db.heapErr(); err != nil {
+		return err
+	}
 	db.mu.RLock()
 	meta := db.metaBlob()
 	db.mu.RUnlock()

@@ -9,14 +9,10 @@ package core
 //     is a property of the database, not of the shipping service: it keeps
 //     advancing while no follower is attached, so a follower can always name
 //     the exact prefix it holds.
-//   - A primary installs a ship hook (SetReplShip). writeCommit calls it
-//     under replMu with the 2PL locks still held, so dependent commits ship
-//     in commit order; independent commits ship in an arbitrary but valid
-//     serialization order. The hook MUST only encode and buffer — never
-//     block on I/O — which is the whole no-stall argument: a dead-slow
-//     follower costs the commit path one mutex and one encode, nothing more.
-//     The batch (record data included) is only valid for the duration of the
-//     call; the hook must serialize it before returning.
+//   - A primary installs a Replicator (SetReplicator). The commit pipeline's
+//     ship stage calls its Ship under replMu with the 2PL locks still held,
+//     so dependent commits ship in commit order; independent commits ship in
+//     an arbitrary but valid serialization order.
 //   - A follower opens with Options.Replica and applies batches through
 //     ApplyReplicated, which WAL-logs the batch locally (so its own recovery
 //     reproduces the applied prefix up to the fsync floor), installs the
@@ -54,10 +50,10 @@ var ErrReplicaWrite = errors.New("core: database is a read-only replica (writes 
 // unacknowledged; rejoining as a follower discards it during re-seed.
 var ErrFenced = errors.New("core: primary is fenced (a newer replication epoch exists)")
 
-// ErrQuorumTimeout is the sentinel the quorum-wait hook returns when K
-// follower acks did not arrive within Options.QuorumTimeout. doCommit maps
-// it to a successful (degraded-to-async) commit plus a metric; it never
-// escapes to the caller.
+// ErrQuorumTimeout is the sentinel Replicator.WaitQuorum returns when K
+// follower acks did not arrive within Options.QuorumTimeout. The commit
+// pipeline maps it to a successful (degraded-to-async) commit plus a
+// metric; it never escapes to the caller.
 var ErrQuorumTimeout = errors.New("core: quorum commit timed out waiting for follower acks")
 
 // ReplBatch is one shipped commit: the redo records of a single WAL commit
@@ -69,31 +65,36 @@ type ReplBatch struct {
 	Occs []event.Occurrence
 }
 
-// SetReplShip installs (or, with nil, removes) the primary-side shipping
-// hook and returns the current replication LSN — atomically with the
-// installation, so the caller knows exactly which prefix the hook will
-// never see and must serve from base state instead. The hook runs on the
-// committing goroutine under replMu with the transaction's locks held: it
-// must encode-and-buffer only, never block, and must not retain the batch
-// (record Data aliases pooled commit scratch).
-func (db *Database) SetReplShip(fn func(ReplBatch)) uint64 {
-	db.replMu.Lock()
-	defer db.replMu.Unlock()
-	db.replShip = fn
-	db.replCollect.Store(fn != nil)
-	return db.replLSN
+// Replicator is the one seam between the commit pipeline and a replication
+// service; a nil func means that part is absent. internal/repl's Primary
+// fills all three, its Follower only Info, test fakes only Ship.
+type Replicator struct {
+	// Ship receives every committed batch, on the committing goroutine under
+	// replMu with the transaction's locks held. It must only encode and
+	// buffer — never block on I/O — which is the whole no-stall argument: a
+	// dead-slow follower costs the commit path one mutex and one encode. It
+	// must not retain the batch (record Data aliases pooled commit scratch).
+	Ship func(ReplBatch)
+	// WaitQuorum blocks until k followers durably acked lsn or the timeout
+	// passes. The pipeline calls it with no locks held. nil acknowledges,
+	// ErrQuorumTimeout degrades the commit to async, ErrFenced fails the
+	// caller's Commit (the transaction stays durable locally).
+	WaitQuorum func(lsn uint64, k int, timeout time.Duration) error
+	// Info reports the peer side for the Replication stats group: on a
+	// primary (attached followers, min applied LSN across them), on a
+	// replica (connected primaries — 0 or 1, the primary's shipped LSN).
+	Info func() (peers int, lsn uint64)
 }
 
-// SetReplInfo installs (or, with nil, removes) the peer-state callback the
-// Replication stats group reads: on a primary it reports (attached
-// followers, min applied LSN across them); on a replica it reports
-// (connected primaries — 0 or 1, the primary's shipped LSN).
-func (db *Database) SetReplInfo(fn func() (peers int, lsn uint64)) {
-	if fn == nil {
-		db.replInfo.Store(nil)
-		return
-	}
-	db.replInfo.Store(&fn)
+// SetReplicator installs r (the zero Replicator detaches) and returns the
+// current replication LSN — atomically with the installation, so the caller
+// knows exactly which prefix Ship will never see and must serve from base
+// state instead.
+func (db *Database) SetReplicator(r Replicator) (lsn uint64) {
+	db.replMu.Lock()
+	defer db.replMu.Unlock()
+	db.repl.Store(&r)
+	return db.replLSN
 }
 
 // ReplLSN returns the replication LSN: on a primary the last committed
@@ -145,86 +146,12 @@ func (db *Database) Fence() {
 // Fenced reports whether Fence has been called.
 func (db *Database) Fenced() bool { return db.fenced.Load() }
 
-// SetReplQuorum installs (or, with nil, removes) the quorum-commit wait.
-// doCommit invokes it after the commit is locally durable and all locks are
-// released, passing the commit's replication LSN, Options.SyncReplicas and
-// Options.QuorumTimeout. A nil return acknowledges the quorum;
-// ErrQuorumTimeout degrades the commit to async (counted, not failed);
-// ErrFenced aborts the caller's Commit with ErrFenced.
-func (db *Database) SetReplQuorum(fn func(lsn uint64, k int, timeout time.Duration) error) {
-	if fn == nil {
-		db.replQuorum.Store(nil)
-		return
-	}
-	db.replQuorum.Store(&fn)
-}
-
-// waitReplQuorum blocks the committing goroutine until the configured
-// follower quorum has durably acked lsn (see SetReplQuorum). Runs with no
-// locks held — the ack path (Primary.Ack, fed by follower sessions) shares
-// nothing with this goroutine, which is the no-deadlock argument for the
-// wait. Returns nil on quorum or degrade, ErrFenced when the primary was
-// fenced while waiting.
-func (db *Database) waitReplQuorum(lsn uint64) error {
-	k := db.opts.SyncReplicas
-	if k <= 0 || lsn == 0 {
-		return nil
-	}
-	fnp := db.replQuorum.Load()
-	if fnp == nil {
-		return nil
-	}
-	err := (*fnp)(lsn, k, db.opts.QuorumTimeout)
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrQuorumTimeout):
-		db.met.quorumDegraded.Add(1)
-		return nil
-	default:
-		return err
-	}
-}
-
 // replicaWriteBlocked gates the write chokepoints (NewObject, exclusive
 // lockObject): a replica rejects application writes once Open has finished.
 // Recovery and the system-object replay run pre-ready and stay writable
 // (they reconstruct state, they do not create it).
 func (db *Database) replicaWriteBlocked() bool {
 	return db.opts.Replica && db.ready
-}
-
-// shipCommit assigns the next replication LSN to a just-committed WAL batch
-// and hands it to the shipper. Called by writeCommit after the heap apply,
-// still under ckptMu shared and the transaction's 2PL locks. The LSN
-// advances whether or not a shipper is installed — it numbers the
-// database's committed history, and a follower attaching later needs the
-// count to be dense.
-func (db *Database) shipCommit(t *Tx, recs []wal.Record) {
-	db.replMu.Lock()
-	db.replLSN++
-	// Remember the batch's LSN on the transaction: doCommit's quorum wait
-	// (SyncReplicas) blocks on exactly this position after the locks drop.
-	// Under group commit each coalesced transaction runs its own
-	// writeCommit and gets its own LSN here; follower acks are monotone, so
-	// one ack at the batch's highest LSN satisfies every waiter in it.
-	t.replShippedLSN = db.replLSN
-	if db.replShip != nil {
-		db.replShip(ReplBatch{LSN: db.replLSN, Recs: recs, Occs: t.replOccs})
-		t.replOccs = nil
-	}
-	db.replMu.Unlock()
-}
-
-// shipEventOnly ships occurrences whose transaction committed without a
-// durable write set (writeCommit never ran a batch, so they have no data
-// batch to ride). Called by doCommit after the commit succeeded.
-func (db *Database) shipEventOnly(occs []event.Occurrence) {
-	db.replMu.Lock()
-	if db.replShip != nil {
-		db.replShip(ReplBatch{Occs: occs})
-	}
-	db.replMu.Unlock()
 }
 
 // ReplBaseObject is one object image in a base-state capture.
@@ -242,7 +169,7 @@ type ReplBaseState struct {
 }
 
 // ReplBaseState captures the heap at an exact replication LSN. It holds
-// ckptMu exclusively for the duration of the scan: writeCommit holds ckptMu
+// ckptMu exclusively for the duration of the scan: a commit holds ckptMu
 // shared across WAL-append + heap-apply + ship, so with the exclusive lock
 // held the heap contains precisely the batches numbered 1..ReplLSN — the
 // follower installing this state resumes the stream at LSN+1 with nothing
@@ -255,6 +182,9 @@ func (db *Database) ReplBaseState() (*ReplBaseState, error) {
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
+	if err := db.heapErr(); err != nil {
+		return nil, err
+	}
 	db.mu.RLock()
 	meta := db.metaBlob()
 	db.mu.RUnlock()
@@ -380,8 +310,8 @@ func (db *Database) ApplyReplicated(b ReplBatch) error {
 	}
 
 	// Register any DSL classes this batch defines before decoding anything:
-	// the batch may create a class and instances of it, and writeCommit
-	// emits a transaction's records in arbitrary write-set order.
+	// the batch may create a class and instances of it, and a commit emits
+	// its records in arbitrary write-set order.
 	for _, r := range b.Recs {
 		if r.Type != wal.RecUpdate {
 			continue
@@ -557,7 +487,7 @@ func (db *Database) heapClassOf(id oid.OID) (string, bool) {
 }
 
 // fanoutReplicated delivers shipped occurrences to local sink subscribers:
-// the follower-side twin of collectPushes + fanoutPushes, minus the
+// the follower-side twin of raise's match + the publish stage, minus the
 // transaction (the occurrences committed on the primary; there is nothing
 // left to abort). Same wait-free contract: DeliverEvent only enqueues.
 //
@@ -570,22 +500,12 @@ func (db *Database) fanoutReplicated(occs []event.Occurrence) {
 	for i := range occs {
 		db.advanceClock(occs[i].Seq)
 	}
-	if len(occs) == 0 || db.sinkCount.Load() == 0 {
+	if db.sinkCount.Load() == 0 {
 		return
 	}
-	r := &db.sinkReg
 	var matched []pendingPush
-	r.mu.RLock()
 	for i := range occs {
-		occ := &occs[i]
-		for _, s := range r.bySrc[occ.Source] {
-			if s.filter.matches(occ) {
-				matched = append(matched, pendingPush{subID: s.id, sink: s.sink, occ: *occ})
-			}
-		}
+		matched = db.sinkReg.match(matched, &occs[i])
 	}
-	r.mu.RUnlock()
-	if len(matched) > 0 {
-		db.fanoutPushes(matched)
-	}
+	db.fanoutPushes(matched)
 }

@@ -22,11 +22,11 @@ const coreReplSchema = `class Kit reactive persistent {
 }
 bind K new Kit(n: 0)`
 
-// captureShip installs a ship hook that deep-copies every batch (the hook
-// contract says Data aliases pooled scratch, so tests must copy too).
+// captureShip installs a Ship-only Replicator that deep-copies every batch
+// (the contract says Data aliases pooled scratch, so tests must copy too).
 func captureShip(db *core.Database) *[]core.ReplBatch {
 	var got []core.ReplBatch
-	db.SetReplShip(func(b core.ReplBatch) {
+	db.SetReplicator(core.Replicator{Ship: func(b core.ReplBatch) {
 		cp := core.ReplBatch{LSN: b.LSN}
 		for _, r := range b.Recs {
 			data := append([]byte(nil), r.Data...)
@@ -37,7 +37,7 @@ func captureShip(db *core.Database) *[]core.ReplBatch {
 		}
 		cp.Occs = append(cp.Occs, b.Occs...)
 		got = append(got, cp)
-	})
+	}})
 	return &got
 }
 

@@ -79,16 +79,12 @@ func (db *Database) MustRegisterClass(c *schema.Class) *schema.Class {
 // from rule specs as "go:name" — the persistable analogue of the paper's
 // pointer-to-member-function conditions.
 func (db *Database) RegisterCondition(name string, fn rule.Condition) {
-	db.fnMu.Lock()
-	defer db.fnMu.Unlock()
-	db.condFns[name] = fn
+	db.condFns.Store(name, fn)
 }
 
 // RegisterAction registers a named Go action function ("go:name").
 func (db *Database) RegisterAction(name string, fn rule.Action) {
-	db.fnMu.Lock()
-	defer db.fnMu.Unlock()
-	db.actFns[name] = fn
+	db.actFns.Store(name, fn)
 }
 
 // eventResolver resolves named events for the parser.
@@ -389,13 +385,11 @@ func (db *Database) resolveCondition(spec RuleSpec) (rule.Condition, string, err
 		return rule.CondTrue, "", nil
 	}
 	if name, ok := strings.CutPrefix(src, "go:"); ok {
-		db.fnMu.RLock()
-		fn := db.condFns[name]
-		db.fnMu.RUnlock()
-		if fn == nil {
-			return nil, "", fmt.Errorf("unregistered condition function %q", name)
+		v, _ := db.condFns.Load(name)
+		if fn, _ := v.(rule.Condition); fn != nil {
+			return fn, src, nil
 		}
-		return fn, src, nil
+		return nil, "", fmt.Errorf("unregistered condition function %q", name)
 	}
 	ast, err := lang.ParseCondition(src)
 	if err != nil {
@@ -414,13 +408,11 @@ func (db *Database) resolveAction(spec RuleSpec) (rule.Action, string, error) {
 		return nil, "", nil
 	}
 	if name, ok := strings.CutPrefix(src, "go:"); ok {
-		db.fnMu.RLock()
-		fn := db.actFns[name]
-		db.fnMu.RUnlock()
-		if fn == nil {
-			return nil, "", fmt.Errorf("unregistered action function %q", name)
+		v, _ := db.actFns.Load(name)
+		if fn, _ := v.(rule.Action); fn != nil {
+			return fn, src, nil
 		}
-		return fn, src, nil
+		return nil, "", fmt.Errorf("unregistered action function %q", name)
 	}
 	stmts, err := lang.ParseActions(src)
 	if err != nil {

@@ -109,7 +109,7 @@ func (db *Database) raise(t *Tx, src *object.Object, method string, when event.M
 		rules = nil
 	}
 	hasSinks := db.sinkCount.Load() > 0
-	shipOccs := db.replCollect.Load()
+	shipOccs := db.repl.Load().Ship != nil
 	if len(rules) == 0 && len(fns) == 0 && !hasSinks && !shipOccs {
 		return nil
 	}
@@ -128,7 +128,7 @@ func (db *Database) raise(t *Tx, src *object.Object, method string, when event.M
 	// Remote subscriptions: record matches now (the source lock is held and
 	// the occurrence is in hand), deliver at commit (sink.go).
 	if hasSinks {
-		db.collectPushes(t, &occ)
+		t.pushes = db.sinkReg.match(t.pushes, &occ)
 	}
 	// Replication: occurrences ride the shipped commit batch (or an
 	// event-only batch when the transaction writes nothing durable), so

@@ -13,8 +13,9 @@ package core
 //   - collection happens inside raise (matching is cheap, the occurrence is
 //     already built), gated by one atomic load so databases with no remote
 //     subscribers pay nothing on the event hot path;
-//   - fan-out happens in doCommit AFTER the durability callback succeeded
-//     and BEFORE detached dispatch, in the committing goroutine;
+//   - fan-out happens in the commit pipeline's publish stage (commit.go):
+//     after durability and the quorum wait, before detached dispatch, on
+//     the committing goroutine;
 //   - DeliverEvent therefore MUST NOT block and MUST NOT call back into the
 //     database. Implementations (the server's session writer) enqueue into
 //     a bounded buffer and drop or disconnect on overflow — the same
@@ -177,25 +178,26 @@ func (r *sinkRegistry) dropLocked(s *sinkSub) {
 	}
 }
 
-// collectPushes records, on the transaction, every sink subscription the
-// occurrence matches. Runs inside raise with the source's 2PL lock held;
-// delivery waits for commit. The caller has already checked sinkCount, so
-// the common no-subscriber case never reaches this function.
-func (db *Database) collectPushes(t *Tx, occ *event.Occurrence) {
-	r := &db.sinkReg
+// match appends to dst one pending delivery per subscription the occurrence
+// passes. Raise calls it with the source's 2PL lock held and parks the
+// result on the transaction until commit (the caller has already checked
+// sinkCount, so the common no-subscriber case never takes the lock); the
+// replica apply path calls it for shipped occurrences.
+func (r *sinkRegistry) match(dst []pendingPush, occ *event.Occurrence) []pendingPush {
 	r.mu.RLock()
 	for _, s := range r.bySrc[occ.Source] {
 		if s.filter.matches(occ) {
-			t.pushes = append(t.pushes, pendingPush{subID: s.id, sink: s.sink, occ: *occ})
+			dst = append(dst, pendingPush{subID: s.id, sink: s.sink, occ: *occ})
 		}
 	}
 	r.mu.RUnlock()
+	return dst
 }
 
-// fanoutPushes delivers the transaction's matched occurrences after its
-// commit became durable. Each DeliverEvent is a bounded-queue enqueue in
-// the sink implementation, so the loop — and with it the commit path — is
-// wait-free regardless of how slow any remote consumer is.
+// fanoutPushes delivers matched occurrences once their commit is durable.
+// Each DeliverEvent is a bounded-queue enqueue in the sink implementation,
+// so the loop — and with it the commit path — is wait-free regardless of how
+// slow any remote consumer is.
 func (db *Database) fanoutPushes(pushes []pendingPush) {
 	for i := range pushes {
 		db.met.pushEvents.Inc()

@@ -148,7 +148,7 @@ func (db *Database) Stats() Snapshot {
 }
 
 // replicationStats reads the replication position. The local LSN is always
-// authoritative for this node's side of the stream; the peer callback
+// authoritative for this node's side of the stream; Replicator.Info
 // (installed by internal/repl) supplies the other side's position.
 func (db *Database) replicationStats() ReplicationStats {
 	var s ReplicationStats
@@ -156,24 +156,25 @@ func (db *Database) replicationStats() ReplicationStats {
 	s.Epoch = epoch
 	s.Fenced = db.fenced.Load()
 	s.QuorumDegraded = db.met.quorumDegraded.Value()
+	r := db.repl.Load()
 	switch {
 	case db.opts.Replica:
 		s.Role = "replica"
 		s.AppliedLSN = local
 		s.ShippedLSN = local
-		if fn := db.replInfo.Load(); fn != nil {
-			peers, shipped := (*fn)()
+		if r.Info != nil {
+			peers, shipped := r.Info()
 			s.Peers = peers
 			if shipped > s.ShippedLSN {
 				s.ShippedLSN = shipped
 			}
 		}
-	case db.replCollect.Load():
+	case r.Ship != nil:
 		s.Role = "primary"
 		s.ShippedLSN = local
 		s.AppliedLSN = local
-		if fn := db.replInfo.Load(); fn != nil {
-			peers, applied := (*fn)()
+		if r.Info != nil {
+			peers, applied := r.Info()
 			s.Peers = peers
 			if peers > 0 {
 				s.AppliedLSN = applied

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"sentinel/internal/event"
 	"sentinel/internal/object"
@@ -14,7 +12,6 @@ import (
 	"sentinel/internal/schema"
 	"sentinel/internal/txn"
 	"sentinel/internal/value"
-	"sentinel/internal/wal"
 )
 
 // AbortError is the error a rule action (or method body) raises to abort
@@ -68,11 +65,6 @@ type Tx struct {
 	// can fan them out to their own subscribers. Dropped on abort. See
 	// repl.go.
 	replOccs []event.Occurrence
-
-	// replShippedLSN is the replication LSN writeCommit assigned to this
-	// transaction's WAL batch (0 for read-only commits): the position the
-	// quorum-commit wait blocks on once the locks drop. See shipCommit.
-	replShippedLSN uint64
 
 	// touched holds the tx-scoped rules this transaction delivered events
 	// to; their detectors reset when the transaction ends.
@@ -174,173 +166,6 @@ func (t *Tx) ID() txn.ID { return t.inner.ID() }
 // Active reports whether the transaction can still do work.
 func (t *Tx) Active() bool { return !t.finished && t.inner.Active() }
 
-// Commit finishes the transaction: deferred rules run first (inside the
-// transaction — they can still abort it), then the write set is logged and
-// applied, then detached rules launch in fresh transactions. An AbortError
-// from a deferred rule rolls everything back and is returned.
-//
-// With Options.AsyncDetached, Commit returns ErrDetachedStopped when the
-// executor pool was already stopped by Close: the transaction itself is
-// durably committed — only its detached firings were dropped.
-func (db *Database) Commit(t *Tx) error {
-	if t.db != db {
-		return fmt.Errorf("core: transaction belongs to a different database")
-	}
-	if !t.Active() {
-		return txn.ErrNotActive
-	}
-	// Commits are low-frequency relative to raises, so the full duration —
-	// deferred drain, logging, fsync, detached dispatch — is always timed.
-	start := time.Now()
-	err := db.doCommit(t)
-	d := time.Since(start)
-	db.met.commitH.Observe(d)
-	if tr := db.tracer.Load(); tr != nil && tr.TxCommit != nil {
-		tr.TxCommit(obs.TxInfo{Tx: uint64(t.inner.ID()), Duration: d, Err: err})
-	}
-	return err
-}
-
-func (db *Database) doCommit(t *Tx) error {
-	// Phase 1: deferred coupling — drain until quiescent (§4.4). Rules
-	// fired here may write, raise events, and schedule more deferred work.
-	for t.deferred.Len() > 0 {
-		batch := t.deferred.Drain()
-		for i := range batch {
-			if err := db.runFiring(t, &batch[i], 1); err != nil {
-				db.Abort(t)
-				return err
-			}
-		}
-	}
-
-	// Phase 2: durability, with locks still held.
-	durable := func() error { return db.writeCommit(t) }
-
-	detached := t.detached
-	t.detached = nil
-	pushes := t.pushes
-	t.pushes = nil
-	t.finished = true
-	t.resetTouched()
-	if err := t.inner.Commit(durable); err != nil {
-		t.releasePins()
-		t.releaseSnapshot()
-		return err
-	}
-	t.releasePins()
-	t.releaseSnapshot()
-	// Quorum commit (Options.SyncReplicas): block until K followers have
-	// durably acked this commit's shipped batch. Runs after local
-	// durability with every lock released — the 2PL locks, pins and the
-	// snapshot registration are gone, and the ack path (follower sessions →
-	// Primary.Ack) touches none of this goroutine's state — so the wait can
-	// time out (degrade to async, counted) but never deadlock. ErrFenced
-	// here means a follower was promoted while we waited: the commit is
-	// durable locally but will never be acknowledged, and rejoining as a
-	// follower discards it.
-	if lsn := t.replShippedLSN; lsn != 0 {
-		t.replShippedLSN = 0
-		if err := db.waitReplQuorum(lsn); err != nil {
-			return err
-		}
-	}
-	// Remote-sink fan-out: the commit is durable, so matched occurrences
-	// may now leave the process. Wait-free (each delivery is a bounded
-	// enqueue), and ahead of detached dispatch so a subscriber watching
-	// both the event and a detached rule's effect sees them in that order.
-	if len(pushes) > 0 {
-		db.fanoutPushes(pushes)
-	}
-	// Occurrences not carried by a shipped WAL batch (the commit wrote
-	// nothing durable) still reach followers, as an event-only batch —
-	// otherwise a follower's subscriber would miss events its primary-side
-	// twin sees. Ships after durability for the same reason fan-out does.
-	if len(t.replOccs) > 0 {
-		db.shipEventOnly(t.replOccs)
-		t.replOccs = nil
-	}
-	// Committed deletes: drop the tombstoned entries once no active snapshot
-	// can still read them (usually immediately — the watermark has already
-	// advanced past our commit LSN unless an older snapshot is live, in
-	// which case pruneChains removes them when it releases).
-	if len(t.deleted) > 0 {
-		w := db.watermark()
-		for id := range t.deleted {
-			db.dir.dropDeleted(id, w)
-			db.pruneConsumerState(id)
-		}
-	}
-	db.maybeSweepChains()
-	db.maybeAutoCheckpoint()
-	// Create-heavy transactions grow residency without faulting; commit is
-	// the point where their entries turn clean and evictable.
-	db.maybeEvict()
-
-	// Phase 3: detached coupling — each firing runs in its own
-	// transaction after the triggering transaction committed (§4.4). An
-	// aborting detached rule affects only its own transaction. With
-	// Options.AsyncDetached the firings go to the conflict-aware executor
-	// pool (the fully asynchronous propagation of §3.1; see detached.go);
-	// WaitIdle quiesces.
-	if len(detached) > 0 {
-		agenda := rule.NewAgenda(db.currentStrategy())
-		for _, f := range detached {
-			agenda.AddFiring(f)
-		}
-		ordered := agenda.Drain()
-		if db.opts.AsyncDetached {
-			if err := db.dispatchDetached(t, ordered); err != nil {
-				return err
-			}
-		} else {
-			for i := range ordered {
-				db.execDetached(ordered[i])
-			}
-		}
-	}
-	return nil
-}
-
-// execDetached runs one detached firing in its own transaction
-// (synchronous mode: AsyncDetached off).
-func (db *Database) execDetached(f rule.Firing) {
-	dtx := db.Begin()
-	if err := db.runDetachedFiring(dtx, &f, 1); err != nil {
-		db.Abort(dtx)
-		return
-	}
-	// Commit rolls back on its own failures.
-	_ = db.Commit(dtx)
-}
-
-// dispatchDetached hands an ordered batch of detached firings to the
-// executor pool. The batch is enqueued atomically; once Close stopped the
-// pool the batch is rejected with ErrDetachedStopped (the transaction is
-// already durable — only its firings are dropped). Before Open finishes
-// the pool may not exist yet (schema hooks run early); those firings
-// execute synchronously, matching the AsyncDetached-off path.
-func (db *Database) dispatchDetached(t *Tx, ordered []rule.Firing) error {
-	if db.detached == nil {
-		for i := range ordered {
-			db.execDetached(ordered[i])
-		}
-		return nil
-	}
-	return db.detached.enqueue(ordered, t.fromDetachedWorker)
-}
-
-// WaitIdle blocks until every asynchronously dispatched detached rule has
-// finished, including detached work those rules' own commits enqueued (a
-// chained firing enqueues while its parent is still in flight, so the
-// pool's pending count only reaches zero at true quiescence). A no-op
-// when AsyncDetached is off.
-func (db *Database) WaitIdle() {
-	if db.detached != nil {
-		db.detached.waitIdle()
-	}
-}
-
 // Abort rolls the transaction back.
 func (db *Database) Abort(t *Tx) {
 	if t.finished {
@@ -403,171 +228,6 @@ func (db *Database) Atomically(fn func(*Tx) error) error {
 	return db.Commit(t)
 }
 
-// commitScratch is the reusable per-commit encoding state: the record and
-// class slices plus one flat buffer every object image of the batch is
-// encoded into, so record framing stops allocating per record. Commits can
-// run concurrently (writeCommit holds ckptMu only shared), hence a
-// sync.Pool rather than a Database field.
-type commitScratch struct {
-	recs    []wal.Record
-	classes []string
-	buf     []byte
-}
-
-var commitScratchPool = sync.Pool{New: func() any { return new(commitScratch) }}
-
-// Retention bounds so one huge commit does not pin a huge scratch forever.
-const (
-	maxCommitScratchBytes = 1 << 20
-	maxCommitScratchRecs  = 1024
-)
-
-// writeCommit assembles and syncs the WAL records for the transaction,
-// applies the write set to the heap, updates the heap-class catalog, and
-// marks the written directory entries clean (eligible for eviction again).
-// Runs under ckptMu shared so a concurrent checkpoint cannot truncate the
-// log between our append and the heap apply.
-//
-// It also drives the MVCC install: a commit LSN is allocated up front and
-// the write set's versions are published at it (installVersions) on
-// success, all before the LSN is marked stable — and all with the 2PL
-// locks still held, since this is the txn layer's durability callback. On
-// a durability error nothing installs; the transaction aborts and its undo
-// closures pop the pushed versions instead.
-func (db *Database) writeCommit(t *Tx) (err error) {
-	if len(t.dirty) == 0 && len(t.created) == 0 && len(t.deleted) == 0 {
-		return nil // read-only (incl. snapshot transactions): nothing to install
-	}
-	// A fenced (deposed) primary aborts data-bearing commits before
-	// anything reaches the WAL: the durability callback's error path undoes
-	// the transaction cleanly, and nothing a fenced node writes can ever be
-	// acknowledged (see Database.Fence).
-	if db.fenced.Load() {
-		db.met.fencedWrites.Add(1)
-		return ErrFenced
-	}
-	// Bump versions on touched objects regardless of persistence. Safe
-	// against concurrent snapshot readers: every dirty object either has an
-	// open writer window (readers serve its chain, not the object) or is an
-	// uncommitted create (invisible to every snapshot).
-	for id := range t.dirty {
-		if o := db.objectByID(id); o != nil {
-			o.BumpVersion()
-		}
-	}
-	c := db.lsn.begin()
-	defer func() {
-		if err == nil {
-			db.installVersions(t, c)
-		}
-		db.lsn.end(c)
-	}()
-	if db.store == nil {
-		return nil
-	}
-	db.ckptMu.RLock()
-	defer db.ckptMu.RUnlock()
-	sc := commitScratchPool.Get().(*commitScratch)
-	recs := sc.recs[:0]
-	classes := sc.classes[:0] // class name per record, aligned with recs
-	buf := sc.buf[:0]
-	defer func() {
-		// Data slices point into buf (or into superseded backing arrays);
-		// both the WAL append and the heap apply copy, so nothing retains
-		// them past this function. Zero the pointers before pooling.
-		for i := range recs {
-			recs[i].Data = nil
-		}
-		if cap(recs) <= maxCommitScratchRecs {
-			sc.recs = recs[:0]
-			sc.classes = classes[:0]
-		} else {
-			sc.recs, sc.classes = nil, nil
-		}
-		if cap(buf) <= maxCommitScratchBytes {
-			sc.buf = buf[:0]
-		} else {
-			sc.buf = nil
-		}
-		commitScratchPool.Put(sc)
-	}()
-	txid := uint64(t.inner.ID())
-	addUpdate := func(id oid.OID) {
-		o := db.objectByID(id)
-		if o == nil || !db.persistentObject(o) {
-			return
-		}
-		// Encode into the shared buffer; the record's Data is a capped
-		// sub-slice, so a later realloc of buf cannot alias over it.
-		start := len(buf)
-		buf = o.Encode(buf)
-		recs = append(recs, wal.Record{Type: wal.RecUpdate, Tx: txid, OID: id, Data: buf[start:len(buf):len(buf)]})
-		classes = append(classes, o.Class().Name)
-	}
-	for id := range t.created {
-		if t.deleted[id] {
-			continue
-		}
-		addUpdate(id)
-	}
-	for id := range t.dirty {
-		if t.created[id] || t.deleted[id] {
-			continue
-		}
-		addUpdate(id)
-	}
-	for id := range t.deleted {
-		if t.created[id] {
-			continue
-		}
-		recs = append(recs, wal.Record{Type: wal.RecDelete, Tx: txid, OID: id})
-		classes = append(classes, "")
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	recs = append(recs, wal.Record{Type: wal.RecCommit, Tx: txid})
-	// Group commit: concurrent committers coalesce their batches into one
-	// write (and, with SyncOnCommit, one shared fsync) through the WAL's
-	// leader/follower protocol. An uncontended commit flushes immediately at
-	// single-commit latency.
-	if err := db.log.CommitBatch(recs, db.opts.SyncOnCommit); err != nil {
-		return err
-	}
-	// Apply to the heap (redo applied eagerly; the log protects it). The
-	// commit record is last, so every update/delete index is in classes.
-	for i, r := range recs {
-		switch r.Type {
-		case wal.RecUpdate:
-			if err := db.store.Put(r.OID, r.Data); err != nil {
-				return err
-			}
-			db.setHeapClass(r.OID, classes[i])
-			// The heap image now matches memory: clean, evictable again.
-			db.dir.setDirty(r.OID, false)
-		case wal.RecDelete:
-			if err := db.store.Delete(r.OID); err != nil {
-				return err
-			}
-			db.delHeapClass(r.OID)
-		}
-	}
-	// Assign the replication LSN and hand the batch to the shipper while
-	// the 2PL locks are still held: conflicting commits are strictly
-	// ordered here, so followers apply every pair of dependent batches in
-	// commit order. Runs after the heap apply and still under ckptMu
-	// shared, so a base-state sync (which holds ckptMu exclusively) sees
-	// the heap at exactly its recorded LSN. See repl.go for the no-stall
-	// contract: the shipper only encodes and buffers under replMu.
-	db.shipCommit(t, recs)
-	return nil
-}
-
-// persistentObject reports whether the object's class is marked persistent.
-func (db *Database) persistentObject(o *object.Object) bool {
-	return o.Class().Persistent
-}
-
 // ---- object primitives ----
 
 // NewObject creates an instance of the named class with the given attribute
@@ -607,7 +267,7 @@ func (db *Database) NewObject(t *Tx, class string, inits map[string]value.Value)
 	// System objects and instances of non-persistent classes are wired
 	// resident (they have no rebuildable heap image, or the runtime
 	// catalogs reference them); everything else starts dirty — it has no
-	// heap image yet — and becomes evictable once writeCommit stores it.
+	// heap image yet — and becomes evictable once applyCommit stores it.
 	noEvict := IsSystemClass(class) || !c.Persistent
 	var pins int32
 	if db.pagingEnabled() {
@@ -697,7 +357,7 @@ func (db *Database) lockPinned(t *Tx, id oid.OID) (*object.Object, error) {
 
 // recordWrite snapshots the object once per transaction for rollback and
 // marks it dirty — in the transaction's write set and, under eviction, on
-// the directory entry (a dirty entry is wired until writeCommit stores it;
+// the directory entry (a dirty entry is wired until applyCommit stores it;
 // the undo hook restores the prior bit because after rollback the fields
 // match the heap image again).
 //

@@ -53,9 +53,9 @@ func StartFollower(opts FollowerOptions) (*Follower, error) {
 		return nil, err
 	}
 	f := &Follower{DB: db, opts: opts}
-	db.SetReplInfo(func() (int, uint64) {
+	db.SetReplicator(core.Replicator{Info: func() (int, uint64) {
 		return int(f.connected.Load()), f.primaryLSN.Load()
-	})
+	}})
 	ctx, cancel := context.WithCancel(context.Background())
 	f.cancel = cancel
 	f.wg.Add(1)
@@ -80,7 +80,7 @@ func (f *Follower) Close() error {
 	}
 	f.cliMu.Unlock()
 	f.wg.Wait()
-	f.DB.SetReplInfo(nil)
+	f.DB.SetReplicator(core.Replicator{})
 	return f.DB.Close()
 }
 
@@ -294,7 +294,7 @@ func (f *Follower) Promote(popts PrimaryOptions, mutate func(*core.Options)) (*c
 	}
 	f.cliMu.Unlock()
 	f.wg.Wait()
-	f.DB.SetReplInfo(nil)
+	f.DB.SetReplicator(core.Replicator{})
 	if err := f.DB.Close(); err != nil {
 		return nil, nil, err
 	}

@@ -11,8 +11,8 @@
 // Primary as a FollowerSession, so repl never learns about sockets or frame
 // framing on the primary side.
 //
-// The no-stall contract: the ship hook runs on the committing goroutine with
-// the transaction's locks held, so everything it does is encode-and-buffer —
+// The no-stall contract: core.Replicator.Ship runs on the committing
+// goroutine with the transaction's locks held, so everything it does is encode-and-buffer —
 // payloads land in a bounded in-memory ring and per-follower shipper
 // goroutines drain the ring at each follower's pace. A wedged follower
 // blocks only its own shipper; when it falls behind the ring's floor it is
@@ -115,8 +115,8 @@ type followerState struct {
 	stopOnce sync.Once
 }
 
-// NewPrimary installs the shipping hook on db and returns the Primary.
-// Close detaches it.
+// NewPrimary installs itself as db's core.Replicator and returns the
+// Primary. Close detaches it.
 //
 // Starting a primary bumps the directory's persisted replication epoch and
 // checkpoints it: the bump is the durable fence point that makes this
@@ -148,18 +148,16 @@ func NewPrimary(db *core.Database, opts PrimaryOptions) *Primary {
 		prevEpoch: prev,
 		followers: make(map[uint64]*followerState),
 	}
-	// The ship-hook install returns the current LSN atomically: everything
-	// at or below it is previous-epoch shared prefix (the seal), everything
-	// after it ships under the new epoch.
-	lsn := db.SetReplShip(p.ship)
+	// The install returns the current LSN atomically: everything at or
+	// below it is previous-epoch shared prefix (the seal), everything after
+	// it ships under the new epoch.
+	lsn := db.SetReplicator(core.Replicator{Ship: p.ship, WaitQuorum: p.waitQuorum, Info: p.info})
 	p.sealLSN = lsn
 	p.mu.Lock()
 	if lsn > p.shipped {
 		p.shipped = lsn
 	}
 	p.mu.Unlock()
-	db.SetReplInfo(p.info)
-	db.SetReplQuorum(p.waitQuorum)
 	return p
 }
 
@@ -342,14 +340,14 @@ func (p *Primary) ackedByLocked(lsn uint64) int {
 	return n
 }
 
-// waitQuorum is the core quorum-commit hook (Options.SyncReplicas): it
+// waitQuorum is core.Replicator.WaitQuorum (Options.SyncReplicas): it
 // blocks the committing goroutine — after local durability, with no locks
 // held — until k followers have acked lsn, the timeout fires
 // (core.ErrQuorumTimeout: the commit degrades to async), or the primary is
 // fenced (core.ErrFenced: the commit can never be acknowledged). The ack
 // path runs on follower-session reader goroutines and shares nothing with
 // the committer beyond p.mu, held only for list surgery — the no-deadlock
-// argument in DESIGN.md §4i.
+// argument in DESIGN.md §4k.
 func (p *Primary) waitQuorum(lsn uint64, k int, timeout time.Duration) error {
 	p.mu.Lock()
 	switch {
@@ -411,7 +409,7 @@ func (p *Primary) FenceIfNewer(epoch uint64) bool {
 	p.waiters = nil
 	p.mu.Unlock()
 	// Fence the database first so no new commit can slip past while the
-	// waiters drain: writeCommit checks the fence before touching the WAL.
+	// waiters drain: logCommit checks the fence before touching the WAL.
 	p.db.Fence()
 	for _, w := range waiters {
 		w.ch <- core.ErrFenced
@@ -469,9 +467,7 @@ func (p *Primary) info() (peers int, lsn uint64) {
 // waits as degraded (the commits are locally durable; there is simply no
 // shipping service left to confirm them), and waits for the shippers.
 func (p *Primary) Close() {
-	p.db.SetReplShip(nil)
-	p.db.SetReplInfo(nil)
-	p.db.SetReplQuorum(nil)
+	p.db.SetReplicator(core.Replicator{})
 	p.mu.Lock()
 	p.closed = true
 	for id, f := range p.followers {

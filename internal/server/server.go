@@ -338,7 +338,7 @@ func (s *session) DeliverEvent(subID uint64, occ event.Occurrence) {
 func (s *session) readLoop() {
 	defer s.srv.wg.Done()
 	defer s.teardown()
-	br := newReader(s.conn)
+	br := wire.NewReader(s.conn)
 	var scratch []byte
 	for {
 		var (
@@ -368,7 +368,7 @@ func (s *session) readLoop() {
 // fan-out bursts.
 func (s *session) writeLoop() {
 	defer s.srv.wg.Done()
-	bw := newWriter(s.conn)
+	bw := wire.NewWriter(s.conn)
 	var buf []byte
 	for {
 		var f wire.Frame
@@ -605,20 +605,12 @@ func (s *session) handle(f wire.Frame) wire.Frame {
 		if p == nil {
 			return s.errFrame(f.ReqID, errors.New("server is not a replication primary"))
 		}
-		// Lenient decode: a v3 ack carries [appliedLSN, epoch], a v2 ack
-		// just [appliedLSN] — treat the latter as epoch 0 (never counted
-		// toward a quorum, still fine for lag accounting).
-		var lsn, epoch int64
-		if vals, err := wire.DecodeValues(f.Payload, 2); err == nil {
-			lsn, _ = vals[0].AsInt()
-			epoch, _ = vals[1].AsInt()
-		} else {
-			vals, err := wire.DecodeValues(f.Payload, 1)
-			if err != nil {
-				return s.errFrame(f.ReqID, err)
-			}
-			lsn, _ = vals[0].AsInt()
+		vals, err := wire.DecodeValues(f.Payload, 2)
+		if err != nil {
+			return s.errFrame(f.ReqID, err)
 		}
+		lsn, _ := vals[0].AsInt()
+		epoch, _ := vals[1].AsInt()
 		if lsn < 0 || epoch < 0 {
 			return s.errFrame(f.ReqID, errors.New("REPLACK LSN or epoch out of range"))
 		}

@@ -17,6 +17,7 @@ import (
 	"sentinel/internal/core"
 	"sentinel/internal/event"
 	"sentinel/internal/oid"
+	"sentinel/internal/repl"
 	"sentinel/internal/server"
 	"sentinel/internal/value"
 	"sentinel/internal/wire"
@@ -364,7 +365,17 @@ func TestDisconnectSlowPolicy(t *testing.T) {
 }
 
 func TestBadHandshake(t *testing.T) {
-	_, srv := startServer(t, server.Options{})
+	db := core.MustOpen(core.Options{Output: io.Discard})
+	pri := repl.NewPrimary(db, repl.PrimaryOptions{})
+	srv, err := server.New(db, server.Options{Addr: "127.0.0.1:0", Primary: pri})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		pri.Close()
+		db.Close()
+	})
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -406,6 +417,28 @@ func TestBadHandshake(t *testing.T) {
 	}
 	if f.Op != wire.OpErr || f.ReqID != 2 {
 		t.Fatalf("unknown opcode answered %s reqid %d", wire.OpName(f.Op), f.ReqID)
+	}
+	// A replication ack is [appliedLSN, epoch]; the epoch-less one-value
+	// form is a protocol error, not an epoch-0 ack.
+	for _, tc := range []struct {
+		vals []value.Value
+		want byte
+	}{
+		{[]value.Value{value.Int(7), value.Int(1)}, wire.OpOK},
+		{[]value.Value{value.Int(7)}, wire.OpErr},
+	} {
+		if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{
+			Op: wire.OpReplAck, ReqID: 3, Payload: wire.AppendValues(nil, tc.vals...),
+		})); err != nil {
+			t.Fatal(err)
+		}
+		f, _, err = wire.ReadFrame(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Op != tc.want || f.ReqID != 3 {
+			t.Fatalf("%d-value ack answered %s reqid %d, want %s", len(tc.vals), wire.OpName(f.Op), f.ReqID, wire.OpName(tc.want))
+		}
 	}
 }
 

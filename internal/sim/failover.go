@@ -612,7 +612,7 @@ func failoverReference(steps []replStep, want *replState) (string, error) {
 		return "", err
 	}
 	defer ref.Close()
-	ref.SetReplShip(func(core.ReplBatch) {})
+	ref.SetReplicator(core.Replicator{Ship: func(core.ReplBatch) {}})
 	for i, s := range steps {
 		if err := runReplStep(ref, s); err != nil {
 			return "", fmt.Errorf("reference step %d: %w", i, err)

@@ -126,12 +126,12 @@ func copyReplBatch(b core.ReplBatch) core.ReplBatch {
 	return cp
 }
 
-// captureBatches installs a deep-copying ship hook on db.
+// captureBatches installs a deep-copying Ship-only Replicator on db.
 func captureBatches(db *core.Database) *[]core.ReplBatch {
 	var got []core.ReplBatch
-	db.SetReplShip(func(b core.ReplBatch) {
+	db.SetReplicator(core.Replicator{Ship: func(b core.ReplBatch) {
 		got = append(got, copyReplBatch(b))
-	})
+	}})
 	return &got
 }
 

@@ -40,8 +40,8 @@ import (
 // History: 1 = PR 7 request/response + push subscriptions; 2 adds the
 // replication opcodes (OpReplHello/OpReplAck/OpReplWelcome and the
 // OpReplFrames/OpReplSnap pushes); 3 adds failover — OpReplAck gains a
-// trailing epoch (decoded leniently, so a v2 ack still parses), and
-// OpReplPromote/OpReplFence carry the promotion and fencing admin ops. A
+// trailing epoch, and OpReplPromote/OpReplFence carry the promotion and
+// fencing admin ops. A
 // client with a version the server does not speak gets a clean
 // version-mismatch OpErr instead of an unknown-opcode failure mid-session.
 const ProtocolVersion = 3
@@ -70,7 +70,7 @@ const (
 	OpSubscribe   byte = 8  // [ref oid, str event, int moment] → OpSubOK | OpErr
 	OpUnsubscribe byte = 9  // [int subID]               → OpOK | OpErr
 	OpReplHello   byte = 10 // [int startLSN, int epoch]  → OpReplWelcome | OpErr
-	OpReplAck     byte = 11 // [int appliedLSN, int epoch] → OpOK (v2 acks omit the epoch)
+	OpReplAck     byte = 11 // [int appliedLSN, int epoch] → OpOK | OpErr
 	OpReplPromote byte = 12 // []                        → OpOK | OpErr (admin: promote this follower)
 	OpReplFence   byte = 13 // [int newEpoch]            → OpOK | OpErr (admin: fence if newEpoch is newer)
 
@@ -199,6 +199,19 @@ func DecodeFrame(buf []byte) (Frame, []byte, error) {
 	}
 	return f, buf[4+ln:], nil
 }
+
+// connBufSize sizes a connection's read and write buffers, on both ends.
+// Idle-session memory is dominated by these plus the two goroutine stacks,
+// so they stay small: 1 KiB each way covers every control frame in one
+// buffer, large payloads fall through bufio to the socket directly, and 10k
+// idle sessions cost ~20 MB of buffer instead of bufio's default ~80 MB.
+const connBufSize = 1024
+
+// NewReader returns the buffered reader ReadFrame expects over a connection.
+func NewReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, connBufSize) }
+
+// NewWriter returns the matching buffered writer.
+func NewWriter(w io.Writer) *bufio.Writer { return bufio.NewWriterSize(w, connBufSize) }
 
 // ReadFrame reads one frame from r, reusing scratch for the payload when it
 // is large enough (the returned frame's payload aliases the returned

@@ -63,7 +63,9 @@ type (
 	Database = core.Database
 	// Tx is a transaction; obtain one from Database.Begin or Atomically.
 	Tx = core.Tx
-	// Options configures Open.
+	// Options configures Open: 21 fields whose zero value is a usable
+	// in-memory configuration; Validate (which Open runs) rejects
+	// contradictory combinations.
 	Options = core.Options
 	// RuleSpec describes a rule for Database.CreateRule.
 	RuleSpec = core.RuleSpec
