@@ -44,7 +44,7 @@ test:
 check: build vet test
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/rule/... ./internal/event/... ./internal/txn/... ./internal/obs/... ./internal/sim/... ./internal/vfs/... ./internal/wal/... ./internal/wire/... ./internal/server/... ./internal/client/... ./internal/repl/...
+	$(GO) test -race ./internal/core/... ./internal/rule/... ./internal/event/... ./internal/txn/... ./internal/obs/... ./internal/sim/... ./internal/vfs/... ./internal/wal/... ./internal/wire/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/heap/... ./internal/buffer/... ./internal/page/...
 
 # Exhaustive crash-state torture: every journal op boundary in every crash
 # mode, every WAL bit position, and a widened differential-seed matrix.
@@ -82,6 +82,7 @@ bench:
 # the bench harness without benchmark-grade runtimes (CI runs this).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench BenchmarkInsert -benchtime 1x -run '^$$' ./internal/heap/
 	$(GO) run ./cmd/sentinel-bench -json2 /tmp/bench2-smoke.json -pop 2000 -resident 256
 	$(GO) run ./cmd/sentinel-bench -json3 /tmp/bench3-smoke.json
 	$(GO) run ./cmd/sentinel-bench -json4 /tmp/bench4-smoke.json -quick

@@ -83,6 +83,10 @@ type Database struct {
 	// evicting serializes clock sweeps (one at a time; extra faulters
 	// skip instead of queueing).
 	evicting atomic.Bool
+	// evictRetry is non-zero after a sweep that could not reach its target
+	// (everything left was pinned, dirty or MVCC-protected): the resident
+	// count below which sweeping again is pointless. Releasing pins clears it.
+	evictRetry atomic.Int64
 
 	// MVCC coordination (see mvcc.go): lsn allocates commit LSNs and
 	// tracks the stable (fully installed) prefix, snaps registers active

@@ -106,6 +106,7 @@ type objDirectory struct {
 	shards   [dirShardCount]dirShard
 	resident atomic.Int64 // entries in the directory, tombstones included
 	hand     atomic.Uint32
+	visited  atomic.Int64 // entries the evictor has examined; tests read it
 
 	// liveVersions counts archived versions across all chains (the
 	// sentinel_versions_live gauge); chainedCount counts entries with MVCC
@@ -772,6 +773,7 @@ func (d *objDirectory) maxChainDepth() int {
 // uncommitted creates automatically).
 func (d *objDirectory) evictDownTo(target int64, w uint64) []oid.OID {
 	var evicted []oid.OID
+	visited := int64(0)
 	for sweep := 0; sweep < 2*dirShardCount && d.resident.Load() > target; sweep++ {
 		s := &d.shards[d.hand.Add(1)%dirShardCount]
 		s.mu.Lock()
@@ -779,6 +781,7 @@ func (d *objDirectory) evictDownTo(target int64, w uint64) []oid.OID {
 			if d.resident.Load() <= target {
 				break
 			}
+			visited++
 			if e.tomb || e.noEvict || e.dirty || e.pins.Load() != 0 {
 				continue
 			}
@@ -794,5 +797,6 @@ func (d *objDirectory) evictDownTo(target int64, w uint64) []oid.OID {
 		}
 		s.mu.Unlock()
 	}
+	d.visited.Add(visited)
 	return evicted
 }

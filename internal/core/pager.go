@@ -94,16 +94,30 @@ func (db *Database) loadFromHeap(id oid.OID, publish bool) (*object.Object, erro
 // ceiling. One goroutine sweeps at a time; others skip — the next fault-in
 // re-checks. The sweep targets a low-water mark an eighth below the ceiling
 // so eviction runs in batches instead of once per fault.
+//
+// A sweep that ends above its target visited every entry and found the rest
+// wired — typically one transaction pinning more objects than the ceiling,
+// such as CreateIndex's backfill. Sweeping again on each further fault would
+// make that transaction quadratic, so the next sweep waits until residency
+// has grown by another eighth (of the ceiling or of itself, whichever is
+// more: the futile sweeps then cost O(1) per fault), or until a transaction
+// releases its pins.
 func (db *Database) maybeEvict() {
-	max := int64(db.opts.MaxResidentObjects)
-	if max <= 0 || db.dir.resident.Load() <= max {
+	limit := int64(db.opts.MaxResidentObjects)
+	resident := db.dir.resident.Load()
+	if limit <= 0 || resident <= limit || resident < db.evictRetry.Load() {
 		return
 	}
 	if !db.evicting.CompareAndSwap(false, true) {
 		return
 	}
-	target := max - max/8
+	target := limit - limit/8
 	evicted := db.dir.evictDownTo(target, db.watermark())
+	retry := int64(0)
+	if left := db.dir.resident.Load(); left > target {
+		retry = left + 1 + max(limit, left)/8
+	}
+	db.evictRetry.Store(retry)
 	db.evicting.Store(false)
 	if len(evicted) == 0 {
 		return
@@ -179,10 +193,10 @@ func (db *Database) liveObject(id oid.OID) (*object.Object, error) {
 }
 
 // forEachLiveObject streams every live object — resident entries first, then
-// heap-only objects decoded transiently — exactly once each. Tombstoned
-// entries are skipped on both sides. Callers see a point-in-time-ish union:
-// run it at a quiescent point for exact results (Dump and CheckIntegrity
-// already require that).
+// heap-only objects decoded transiently from a heap scan — exactly once each.
+// Tombstoned entries are skipped on both sides. Callers see a
+// point-in-time-ish union: run it at a quiescent point for exact results
+// (Dump and CheckIntegrity already require that).
 func (db *Database) forEachLiveObject(fn func(id oid.OID, o *object.Object) error) error {
 	seen := make(map[oid.OID]bool)
 	var objs []*object.Object
@@ -200,32 +214,19 @@ func (db *Database) forEachLiveObject(fn func(id oid.OID, o *object.Object) erro
 	if db.store == nil {
 		return nil
 	}
-	for _, id := range db.heapOnlyIDs(seen) {
-		o, err := db.loadFromHeap(id, false)
+	// Heap-only objects in page order: one pin per page instead of one
+	// lookup, pin and image copy per object. The store is not locked across
+	// the callback, so fn may fault objects in.
+	return db.store.Scan(func(id oid.OID, img []byte) error {
+		if seen[id] {
+			return nil
+		}
+		o, err := object.Decode(id, img, db.reg)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: decoding object %s: %w", id, err)
 		}
-		if o == nil {
-			continue // deleted between snapshot and decode
-		}
-		if err := fn(id, o); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// heapOnlyIDs snapshots the catalog OIDs that have no directory entry.
-func (db *Database) heapOnlyIDs(seen map[oid.OID]bool) []oid.OID {
-	db.catMu.RLock()
-	out := make([]oid.OID, 0, len(db.heapCat))
-	for id := range db.heapCat {
-		if !seen[id] {
-			out = append(out, id)
-		}
-	}
-	db.catMu.RUnlock()
-	return out
+		return fn(id, o)
+	})
 }
 
 // liveClassMap returns OID → class name over the full live population

@@ -197,6 +197,10 @@ func (t *Tx) releasePins() {
 		t.db.dir.unpin(id)
 	}
 	t.pinned = nil
+	// What kept the last sweep above its target may just have been freed.
+	if t.db.evictRetry.Load() != 0 {
+		t.db.evictRetry.Store(0)
+	}
 }
 
 // pin records a directory pin taken on behalf of this transaction.

@@ -38,7 +38,8 @@ type Store struct {
 	pf    *buffer.File
 	pool  *buffer.Pool
 	table map[oid.OID]RID
-	free  map[page.ID]int // free-byte hint per page
+	free  freeMap // largest record each page would accept
+	muts  uint64  // Puts and Deletes so far; lets Scan tell it ran undisturbed
 	meta  []byte
 	dir   string
 }
@@ -78,7 +79,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		pf:    pf,
 		pool:  buffer.NewPool(pf, opts.PoolPages),
 		table: make(map[oid.OID]RID),
-		free:  make(map[page.ID]int),
 		dir:   dir,
 	}
 	if err := s.loadIndex(); err != nil {
@@ -149,6 +149,7 @@ func (s *Store) Get(id oid.OID) ([]byte, bool, error) {
 func (s *Store) Put(id oid.OID, img []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.muts++
 	rec := encodeRecord(id, img)
 	if len(rec) > page.MaxRecord {
 		return fmt.Errorf("heap: object %s image of %d bytes exceeds page capacity", id, len(img))
@@ -158,59 +159,56 @@ func (s *Store) Put(id oid.OID, img []byte) error {
 		if err != nil {
 			return err
 		}
-		if pg.Update(rid.Slot, rec) {
-			s.free[rid.Page] = pg.Free()
-			s.pool.Unpin(rid.Page, true)
+		fits := pg.Update(rid.Slot, rec)
+		if !fits {
+			// Doesn't fit here any more: delete and relocate.
+			pg.Delete(rid.Slot)
+		}
+		s.free.set(rid.Page, pg.Reclaimable())
+		s.pool.Unpin(rid.Page, true)
+		if fits {
 			return nil
 		}
-		// Doesn't fit here any more: delete and relocate.
-		pg.Delete(rid.Slot)
-		s.free[rid.Page] = pg.Free()
-		s.pool.Unpin(rid.Page, true)
 		delete(s.table, id)
 	}
 	return s.insertLocked(id, rec)
 }
 
+// insertLocked places rec on the lowest-numbered page with room for it, or
+// on a fresh page when none has.
 func (s *Store) insertLocked(id oid.OID, rec []byte) error {
-	// First fit among pages with enough hinted free space.
-	var cands []page.ID
-	for pid, free := range s.free {
-		if free >= len(rec) {
-			cands = append(cands, pid)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	for _, pid := range cands {
-		pg, err := s.pool.Pin(pid)
-		if err != nil {
+	pid, found := s.free.first(0, len(rec))
+	for found {
+		ok, err := s.insertOn(pid, id, rec)
+		if ok || err != nil {
 			return err
 		}
-		slot, ok := pg.Insert(rec)
-		s.free[pid] = pg.Free()
-		s.pool.Unpin(pid, ok)
-		if ok {
-			s.table[id] = RID{Page: pid, Slot: slot}
-			return nil
-		}
+		pid, found = s.free.first(pid+1, len(rec))
 	}
-	// Allocate a fresh page.
 	pid, err := s.pool.Alloc()
 	if err != nil {
 		return err
 	}
+	ok, err := s.insertOn(pid, id, rec)
+	if err == nil && !ok {
+		err = fmt.Errorf("heap: record of %d bytes does not fit a fresh page", len(rec))
+	}
+	return err
+}
+
+// insertOn tries to store rec on page pid and refreshes the page's hint.
+func (s *Store) insertOn(pid page.ID, id oid.OID, rec []byte) (bool, error) {
 	pg, err := s.pool.Pin(pid)
 	if err != nil {
-		return err
+		return false, err
 	}
 	slot, ok := pg.Insert(rec)
-	s.free[pid] = pg.Free()
+	s.free.set(pid, pg.Reclaimable())
 	s.pool.Unpin(pid, ok)
-	if !ok {
-		return fmt.Errorf("heap: record of %d bytes does not fit a fresh page", len(rec))
+	if ok {
+		s.table[id] = RID{Page: pid, Slot: slot}
 	}
-	s.table[id] = RID{Page: pid, Slot: slot}
-	return nil
+	return ok, nil
 }
 
 // Delete removes the object; deleting an absent OID is a no-op.
@@ -221,12 +219,13 @@ func (s *Store) Delete(id oid.OID) error {
 	if !ok {
 		return nil
 	}
+	s.muts++
 	pg, err := s.pool.Pin(rid.Page)
 	if err != nil {
 		return err
 	}
 	pg.Delete(rid.Slot)
-	s.free[rid.Page] = pg.Free()
+	s.free.set(rid.Page, pg.Reclaimable())
 	s.pool.Unpin(rid.Page, true)
 	delete(s.table, id)
 	return nil
@@ -257,34 +256,60 @@ func (s *Store) ForEach(fn func(id oid.OID, img []byte) error) error {
 	return nil
 }
 
-// Scan calls fn for every live object without copying images: fn receives a
-// view into the pinned page, valid only for the duration of the call, and
-// must not retain or mutate it. Iteration order is unspecified and the store
-// is locked throughout — Scan is for bulk read passes (catalog rebuild,
-// integrity sweeps), not concurrent access.
+// Scan calls fn for every live object, page by page in page order: one pin
+// per page, however many records it holds. fn receives a view into a private
+// copy of the page, valid only for the duration of the call; it must not
+// retain or mutate it. The store is locked while a page is copied, never
+// across fn, so fn may call back into the store; objects put or deleted
+// while the scan runs may or may not be reported. Scan is for bulk read
+// passes (catalog and index rebuilds, dumps, integrity sweeps).
 func (s *Store) Scan(fn func(id oid.OID, img []byte) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, rid := range s.table {
-		pg, err := s.pool.Pin(rid.Page)
+	type record struct {
+		id  oid.OID
+		img []byte // into view
+	}
+	view := page.Wrap(make([]byte, page.Size))
+	var recs []record
+	var muts uint64
+	reported := 0
+	for pid := page.ID(0); ; pid++ {
+		s.mu.Lock()
+		if pid == 0 {
+			muts = s.muts
+		}
+		if pid >= s.pf.NumPages() {
+			// Undisturbed, the scan must have met every table entry.
+			missing := len(s.table) - reported
+			undisturbed := s.muts == muts
+			s.mu.Unlock()
+			if undisturbed && missing != 0 {
+				return fmt.Errorf("heap: object table lists %d objects its pages do not hold", missing)
+			}
+			return nil
+		}
+		pg, err := s.pool.Pin(pid)
 		if err != nil {
+			s.mu.Unlock()
 			return err
 		}
-		rec, ok := pg.Read(rid.Slot)
-		if !ok {
-			s.pool.Unpin(rid.Page, false)
-			return fmt.Errorf("heap: object table points at dead slot %v for %s", rid, id)
-		}
-		_, img, err := splitRecord(rec)
-		if err == nil {
-			err = fn(id, img)
-		}
-		s.pool.Unpin(rid.Page, false)
-		if err != nil {
-			return err
+		copy(view.Bytes(), pg.Bytes())
+		s.pool.Unpin(pid, false)
+		// A record the table does not point at is a stale copy left by a
+		// crash between a relocation's two page writes; skip it.
+		recs = recs[:0]
+		view.LiveRecords(func(slot int, rec []byte) {
+			if id, img, err := splitRecord(rec); err == nil && s.table[id] == (RID{Page: pid, Slot: slot}) {
+				recs = append(recs, record{id, img})
+			}
+		})
+		s.mu.Unlock()
+		reported += len(recs)
+		for _, r := range recs {
+			if err := fn(r.id, r.img); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
 }
 
 // Checkpoint flushes all dirty pages, syncs the data file, and atomically
@@ -300,7 +325,8 @@ func (s *Store) Checkpoint(meta []byte) error {
 }
 
 func encodeRecord(id oid.OID, img []byte) []byte {
-	buf := binary.AppendUvarint(nil, uint64(id))
+	buf := make([]byte, 0, binary.MaxVarintLen64+len(img))
+	buf = binary.AppendUvarint(buf, uint64(id))
 	return append(buf, img...)
 }
 
@@ -401,7 +427,7 @@ func (s *Store) loadIndex() error {
 // rebuildIndex reconstructs the object table by scanning every page.
 func (s *Store) rebuildIndex() error {
 	s.table = make(map[oid.OID]RID)
-	s.free = make(map[page.ID]int)
+	s.free = freeMap{}
 	for pid := page.ID(0); pid < s.pf.NumPages(); pid++ {
 		pg, err := s.pool.Pin(pid)
 		if err != nil {
@@ -412,20 +438,20 @@ func (s *Store) rebuildIndex() error {
 				s.table[id] = RID{Page: pid, Slot: slot}
 			}
 		})
-		s.free[pid] = pg.Free()
+		s.free.set(pid, pg.Reclaimable())
 		s.pool.Unpin(pid, false)
 	}
 	return nil
 }
 
 func (s *Store) scanFreeSpace() error {
-	s.free = make(map[page.ID]int)
+	s.free = freeMap{}
 	for pid := page.ID(0); pid < s.pf.NumPages(); pid++ {
 		pg, err := s.pool.Pin(pid)
 		if err != nil {
 			return err
 		}
-		s.free[pid] = pg.Free()
+		s.free.set(pid, pg.Reclaimable())
 		s.pool.Unpin(pid, false)
 	}
 	return nil

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"sentinel/internal/oid"
+	"sentinel/internal/page"
 )
 
 func openTemp(t *testing.T) (*Store, string) {
@@ -298,4 +300,291 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 		}
 	}
 	s.Close()
+}
+
+// scanPlacer is the placement algorithm the free-space map replaced, kept as
+// the reference the store is compared against: a free-byte hint per page in
+// a map, and on every insert a scan of all hints, a sort of the candidates
+// and first fit among them.
+type scanPlacer struct {
+	pages []*page.Page
+	table map[oid.OID]RID
+	free  map[page.ID]int
+}
+
+func newScanPlacer() *scanPlacer {
+	return &scanPlacer{table: map[oid.OID]RID{}, free: map[page.ID]int{}}
+}
+
+func (r *scanPlacer) put(id oid.OID, img []byte) {
+	rec := encodeRecord(id, img)
+	if rid, ok := r.table[id]; ok {
+		pg := r.pages[rid.Page]
+		if pg.Update(rid.Slot, rec) {
+			r.free[rid.Page] = pg.Reclaimable()
+			return
+		}
+		pg.Delete(rid.Slot)
+		r.free[rid.Page] = pg.Reclaimable()
+		delete(r.table, id)
+	}
+	var cands []page.ID
+	for pid, free := range r.free {
+		if free >= len(rec) {
+			cands = append(cands, pid)
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+	for _, pid := range cands {
+		slot, ok := r.pages[pid].Insert(rec)
+		r.free[pid] = r.pages[pid].Reclaimable()
+		if ok {
+			r.table[id] = RID{Page: pid, Slot: slot}
+			return
+		}
+	}
+	pg := page.Wrap(make([]byte, page.Size))
+	pg.Init()
+	pid := page.ID(len(r.pages))
+	r.pages = append(r.pages, pg)
+	slot, _ := pg.Insert(rec)
+	r.free[pid] = pg.Reclaimable()
+	r.table[id] = RID{Page: pid, Slot: slot}
+}
+
+func (r *scanPlacer) del(id oid.OID) {
+	rid, ok := r.table[id]
+	if !ok {
+		return
+	}
+	r.pages[rid.Page].Delete(rid.Slot)
+	r.free[rid.Page] = r.pages[rid.Page].Reclaimable()
+	delete(r.table, id)
+}
+
+// TestPlacementMatchesFirstFitScan: over random insert/update/delete streams
+// the store puts every record at the RID the scan-and-sort reference picks.
+func TestPlacementMatchesFirstFitScan(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		s, _ := openTemp(t)
+		ref := newScanPlacer()
+		rng := rand.New(rand.NewSource(seed))
+		for op := 0; op < 6000; op++ {
+			id := oid.OID(rng.Intn(1500) + 1)
+			if rng.Intn(10) < 7 {
+				size := rng.Intn(600) + 1
+				if rng.Intn(40) == 0 {
+					size = 2000 + rng.Intn(6000)
+				}
+				img := make([]byte, size)
+				if err := s.Put(id, img); err != nil {
+					t.Fatal(err)
+				}
+				ref.put(id, img)
+			} else {
+				if err := s.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+				ref.del(id)
+			}
+			if got, want := s.table[id], ref.table[id]; got != want {
+				t.Fatalf("seed %d op %d: object %d placed at %v, reference says %v", seed, op, id, got, want)
+			}
+		}
+		if len(s.table) != len(ref.table) {
+			t.Fatalf("seed %d: store holds %d objects, reference %d", seed, len(s.table), len(ref.table))
+		}
+		for id, want := range ref.table {
+			if got := s.table[id]; got != want {
+				t.Fatalf("seed %d: object %d at %v, reference says %v", seed, id, got, want)
+			}
+		}
+		if got, want := int(s.pool.NumPages()), len(ref.pages); got != want {
+			t.Fatalf("seed %d: %d pages, reference has %d", seed, got, want)
+		}
+	}
+}
+
+// TestDeletedSpaceIsReused: deleting a record must raise its page's hint, or
+// the file grows by a full population on every insert/delete round.
+func TestDeletedSpaceIsReused(t *testing.T) {
+	s, _ := openTemp(t)
+	const n = 5000
+	img := make([]byte, 300)
+	var first int
+	for round := 1; round <= 5; round++ {
+		for i := 1; i <= n; i++ {
+			if err := s.Put(oid.OID(round*n+i), img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pages := int(s.pool.NumPages())
+		if round == 1 {
+			first = pages
+		}
+		if pages > first+1 {
+			t.Fatalf("round %d: %d pages, round 1 needed %d", round, pages, first)
+		}
+		for i := 1; i <= n; i++ {
+			if err := s.Delete(oid.OID(round*n + i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestScanPageOrder: Scan reports every live object exactly once with its
+// current image, in page order, and leaves the store unlocked for fn.
+func TestScanPageOrder(t *testing.T) {
+	s, _ := openTemp(t)
+	rng := rand.New(rand.NewSource(3))
+	model := map[oid.OID][]byte{}
+	for op := 0; op < 4000; op++ {
+		id := oid.OID(rng.Intn(600) + 1)
+		if rng.Intn(4) == 0 {
+			s.Delete(id)
+			delete(model, id)
+			continue
+		}
+		img := make([]byte, rng.Intn(700)+1)
+		rng.Read(img)
+		if err := s.Put(id, img); err != nil {
+			t.Fatal(err)
+		}
+		model[id] = img
+	}
+	seen := map[oid.OID]bool{}
+	last := page.ID(0)
+	err := s.Scan(func(id oid.OID, img []byte) error {
+		if seen[id] {
+			t.Fatalf("object %d reported twice", id)
+		}
+		seen[id] = true
+		if !bytes.Equal(img, model[id]) {
+			t.Fatalf("object %d: scan image differs from the last Put", id)
+		}
+		if pid := s.table[id].Page; pid < last {
+			t.Fatalf("object %d on page %d reported after page %d", id, pid, last)
+		} else {
+			last = pid
+		}
+		// The callback may use the store.
+		if got, ok, err := s.Get(id); err != nil || !ok || !bytes.Equal(got, img) {
+			t.Fatalf("Get(%d) inside Scan = %v, %v", id, ok, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(model) {
+		t.Fatalf("scan reported %d objects, model has %d", len(seen), len(model))
+	}
+	// A table entry no page backs is reported, not silently skipped.
+	s.table[9999] = RID{Page: 0, Slot: 9999}
+	if err := s.Scan(func(oid.OID, []byte) error { return nil }); err == nil {
+		t.Fatal("scan over a table entry pointing at no record returned nil")
+	}
+	delete(s.table, 9999)
+}
+
+// BenchmarkInsert measures one insert (plus the delete that keeps the live
+// set, and so the file, from growing) behind a prefix of full pages that
+// placement has to look past: unformatted pages report no room, so a sparse
+// file stands in for that many pages of records. The cost must not grow with
+// the prefix.
+func BenchmarkInsert(b *testing.B) {
+	for _, pages := range []int{1024, 8192, 65536} {
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			dir := b.TempDir()
+			f, err := os.Create(filepath.Join(dir, dataFile))
+			if err == nil {
+				err = f.Truncate(int64(pages) * page.Size)
+			}
+			if err == nil {
+				err = f.Close()
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := Open(dir, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			img := make([]byte, 300)
+			const window = 100 // live records: about four pages
+			for i := 1; i <= window; i++ {
+				if err := s.Put(oid.OID(i), img); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := window + 1; i <= window+b.N; i++ {
+				if err := s.Put(oid.OID(i), img); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Delete(oid.OID(i - window)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestScanBesideWrites runs Scan while another goroutine puts and deletes:
+// objects nobody touches are each reported once with their image intact.
+func TestScanBesideWrites(t *testing.T) {
+	s, _ := openTemp(t)
+	const stable, churn = 400, 200
+	img := func(id oid.OID) []byte { return bytes.Repeat([]byte{byte(id)}, 100+int(id)%300) }
+	for id := oid.OID(1); id <= stable; id++ {
+		if err := s.Put(id, img(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(9))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			id := oid.OID(stable + 1 + rng.Intn(churn))
+			var err error
+			if rng.Intn(3) == 0 {
+				err = s.Delete(id)
+			} else {
+				err = s.Put(id, make([]byte, rng.Intn(900)+1))
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for round := 0; round < 20; round++ {
+		seen := map[oid.OID]int{}
+		err := s.Scan(func(id oid.OID, got []byte) error {
+			seen[id]++
+			if id <= stable && !bytes.Equal(got, img(id)) {
+				t.Errorf("round %d: object %d image damaged", round, id)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := oid.OID(1); id <= stable; id++ {
+			if seen[id] != 1 {
+				t.Fatalf("round %d: untouched object %d reported %d times", round, id, seen[id])
+			}
+		}
+	}
+	close(stop)
+	<-done
 }

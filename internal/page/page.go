@@ -78,10 +78,25 @@ func (p *Page) setSlot(i, off, ln int) {
 // Note: freeEnd is the start of the slot directory region; records may use
 // bytes [freeStart, freeEnd).
 
-// Free returns the number of bytes available for a new record, accounting
-// for the slot directory entry it would need.
-func (p *Page) Free() int {
-	free := p.freeEnd() - p.freeStart() - slotSize
+// Reclaimable returns the size of the largest record Insert would accept:
+// the bytes free once dead space is compacted away, less a new slot directory
+// entry unless a deleted slot can be reused. It counts more than the
+// contiguous gap [freeStart, freeEnd), which does not grow when a record is
+// deleted or shrinks. A page that was never formatted (all zeroes) has no
+// room.
+func (p *Page) Reclaimable() int {
+	free := p.freeEnd() - headerSize
+	deadSlot := false
+	for i := 0; i < p.numSlots(); i++ {
+		off, ln := p.slot(i)
+		if off == 0 && ln == 0 {
+			deadSlot = true
+		}
+		free -= ln
+	}
+	if !deadSlot {
+		free -= slotSize
+	}
 	if free < 0 {
 		return 0
 	}

@@ -162,7 +162,8 @@ func TestLiveRecords(t *testing.T) {
 }
 
 // TestRandomOpsAgainstModel drives random insert/update/delete against a
-// map model and verifies the page agrees after every operation.
+// map model and verifies the page agrees after every operation, and that
+// Reclaimable predicts exactly which inserts fit.
 func TestRandomOpsAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := freshPage()
@@ -186,7 +187,12 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 		switch r := rng.Intn(10); {
 		case r < 5: // insert
 			rec := randRec()
-			if s, ok := p.Insert(rec); ok {
+			fits := len(rec) <= p.Reclaimable()
+			s, ok := p.Insert(rec)
+			if ok != fits {
+				t.Fatalf("op %d: insert of %d bytes = %v, Reclaimable said %v", op, len(rec), ok, fits)
+			}
+			if ok {
 				model[s] = rec
 			}
 		case r < 8: // update
@@ -242,12 +248,18 @@ func TestWrapPanicsOnWrongSize(t *testing.T) {
 	Wrap(make([]byte, 100))
 }
 
-func TestFreeDecreasesMonotonically(t *testing.T) {
+func TestReclaimableDecreasesMonotonically(t *testing.T) {
+	if got := Wrap(make([]byte, Size)).Reclaimable(); got != 0 {
+		t.Fatalf("unformatted page reports %d bytes reclaimable", got)
+	}
 	p := freshPage()
-	prev := p.Free()
+	prev := p.Reclaimable()
+	if prev != MaxRecord {
+		t.Fatalf("empty page reports %d bytes reclaimable, want MaxRecord = %d", prev, MaxRecord)
+	}
 	for i := 0; i < 10; i++ {
 		p.Insert([]byte(fmt.Sprintf("record-%d", i)))
-		f := p.Free()
+		f := p.Reclaimable()
 		if f >= prev {
 			t.Fatalf("free space did not shrink: %d -> %d", prev, f)
 		}
