@@ -1,6 +1,6 @@
 # Development entry points. `make check` is the tier-1 verification flow
-# (build, vet, tests); `make race` adds the race detector over the
-# concurrency-sensitive packages; `make torture` runs the exhaustive
+# (gofmt gate, build, vet, tests); `make race` adds the race detector over
+# the concurrency-sensitive packages and the benchmark's smoke test; `make torture` runs the exhaustive
 # crash-state enumeration, bit-flip and differential sweeps (the strided
 # versions already run inside `make test`); `make fuzz` gives each fuzz
 # target a short coverage-guided session on top of the checked-in corpora;
@@ -28,9 +28,13 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test check race torture fuzz bench bench-smoke bench-gate golden loc clean
+.PHONY: all fmt build vet test check race torture fuzz bench bench-smoke bench-gate golden loc clean
 
 all: check
+
+# Fails listing every file gofmt would rewrite.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -41,10 +45,10 @@ vet:
 test:
 	$(GO) test ./...
 
-check: build vet test
+check: fmt build vet test
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/rule/... ./internal/event/... ./internal/txn/... ./internal/obs/... ./internal/sim/... ./internal/vfs/... ./internal/wal/... ./internal/wire/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/heap/... ./internal/buffer/... ./internal/page/...
+	$(GO) test -race ./internal/core/... ./internal/rule/... ./internal/event/... ./internal/txn/... ./internal/obs/... ./internal/sim/... ./internal/vfs/... ./internal/wal/... ./internal/wire/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/heap/... ./internal/buffer/... ./internal/page/... ./benchmark/
 
 # Exhaustive crash-state torture: every journal op boundary in every crash
 # mode, every WAL bit position, and a widened differential-seed matrix.

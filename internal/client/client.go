@@ -54,10 +54,10 @@ type Client struct {
 	out  chan wire.Frame
 	done chan struct{}
 
-	mu        sync.Mutex
-	reqSeq    uint32
-	pending   map[uint32]*Call
-	handlers  map[uint64]func(wire.Event)
+	mu         sync.Mutex
+	reqSeq     uint32
+	pending    map[uint32]*Call
+	handlers   map[uint64]func(wire.Event)
 	orphans    map[uint64][]wire.Event // pushes that raced their SubOK
 	orphanCnt  int
 	closeErr   error

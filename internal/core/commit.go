@@ -75,19 +75,41 @@ const (
 // the quorum wait (a follower was promoted; the commit will never be
 // acknowledged and rejoining as a follower discards it) and, with
 // Options.AsyncDetached, ErrDetachedStopped (Close already stopped the
-// executor pool, so only the detached firings were dropped).
-func (db *Database) Commit(t *Tx) error {
-	if t.db != db {
-		return fmt.Errorf("core: transaction belongs to a different database")
+// executor pool, so only the detached firings were dropped). One reports a
+// transaction whose fate is unknown: wal.ErrInDoubt (its log flush failed
+// and could not be undone; the reopen decides).
+func (db *Database) Commit(t *Tx) error { return db.commitHead(t).Finish() }
+
+// Pending is a commit cut after releaseCommit. The transaction is over — its
+// batch logged and shipped, its versions visible to snapshots, its locks
+// released — and what is left is the tail: awaitQuorum → publishCommit →
+// reclaimCommit → dispatchDetached. Finish runs the tail and returns what
+// Commit would have; call it exactly once, and finish the Pendings of one
+// caller in the order their heads ran, so pushes leave in commit order.
+// Commit is head + Finish inline; internal/server parks the tail of a
+// quorum commit so its session can read the next request meanwhile.
+type Pending struct {
+	t       *Tx       // nil when no commit started (the body failed, or Commit was misused)
+	err     error     // the head's answer; non-nil means there is no tail
+	start   time.Time // when Commit began
+	replLSN uint64    // the shipped batch the quorum wait is for; 0 when none
+}
+
+// Finish runs the commit's tail and returns the commit's outcome. The commit
+// histogram and the TxCommit hook cover head and tail.
+func (p Pending) Finish() error {
+	t := p.t
+	if t == nil {
+		return p.err
 	}
-	if !t.Active() {
-		return txn.ErrNotActive
+	db, err := t.db, p.err
+	if err == nil {
+		err = db.commitTail(t, p.replLSN)
 	}
 	// Commits are low-frequency relative to raises, so the full duration —
-	// deferred drain, logging, fsync, detached dispatch — is always timed.
-	start := time.Now()
-	err := db.commit(t)
-	d := time.Since(start)
+	// deferred drain, logging, fsync, quorum wait, detached dispatch — is
+	// always timed.
+	d := time.Since(p.start)
 	db.met.commitH.Observe(d)
 	if tr := db.tracer.Load(); tr != nil && tr.TxCommit != nil {
 		tr.TxCommit(obs.TxInfo{Tx: uint64(t.inner.ID()), Duration: d, Err: err})
@@ -95,25 +117,56 @@ func (db *Database) Commit(t *Tx) error {
 	return err
 }
 
-// commit is the stage list. Up to and including logCommit a failure aborts
-// the transaction; once logCommit returned nil the commit record is in the
-// WAL and every later stage runs, whatever happens. A fenced quorum wait
-// skips only the two stages that publish the commit to the outside.
-func (db *Database) commit(t *Tx) error {
+// AwaitsQuorum reports whether Finish will block on follower acks: the head
+// committed a logged batch and Options.SyncReplicas asks for a quorum.
+func (p Pending) AwaitsQuorum() bool {
+	if p.t == nil || p.err != nil || p.replLSN == 0 {
+		return false
+	}
+	db := p.t.db
+	return db.opts.SyncReplicas > 0 && db.repl.Load().WaitQuorum != nil
+}
+
+// commitHead checks the transaction and runs the stage list's head.
+func (db *Database) commitHead(t *Tx) Pending {
+	if t.db != db {
+		return Pending{err: fmt.Errorf("core: transaction belongs to a different database")}
+	}
+	if !t.Active() {
+		return Pending{err: txn.ErrNotActive}
+	}
+	p := Pending{t: t, start: time.Now()}
+	p.replLSN, p.err = db.commit(t)
+	return p
+}
+
+// commit is the stage list's head, commitTail its tail. Up to and including
+// logCommit a failure aborts the transaction; once logCommit returned nil the
+// commit record is in the WAL and every later stage runs, whatever happens. A
+// fenced quorum wait skips only the two stages that publish the commit to
+// the outside.
+func (db *Database) commit(t *Tx) (replLSN uint64, err error) {
 	if err := db.drainDeferred(t); err != nil {
 		db.Abort(t)
-		return err
+		return 0, err
 	}
 	var c commitState
 	if err := db.logCommit(t, &c); err != nil {
 		db.Abort(t)
-		return fmt.Errorf("core: commit not durable (transaction aborted): %w", err)
+		if errors.Is(err, wal.ErrInDoubt) {
+			return 0, fmt.Errorf("core: commit outcome in doubt (reopen the database to learn it): %w", err)
+		}
+		return 0, fmt.Errorf("core: commit not durable (transaction aborted): %w", err)
 	}
 	db.applyCommit(&c)
 	db.shipCommit(t, &c)
 	db.installCommit(t, &c)
 	db.releaseCommit(t)
-	err := db.awaitQuorum(&c)
+	return c.replLSN, nil
+}
+
+func (db *Database) commitTail(t *Tx, replLSN uint64) error {
+	err := db.awaitQuorum(replLSN)
 	if err == nil {
 		db.publishCommit(t)
 	}
@@ -352,18 +405,19 @@ func (db *Database) releaseCommit(t *Tx) {
 // awaitQuorum blocks until Options.SyncReplicas followers durably acked the
 // commit's batch. A timeout degrades the commit to asynchronous (counted,
 // not failed). ErrFenced means a follower was promoted while we waited: the
-// commit is durable here but will never be acknowledged.
+// commit is durable here but will never be acknowledged. From here on the
+// stages may run on another goroutine than the head (Pending.Finish).
 //
 //	holds:     nothing — the ack path (follower sessions → Replicator) shares no state with this goroutine
 //	blocks on: follower acks, bounded by Options.QuorumTimeout
 //	publishes: nothing
-func (db *Database) awaitQuorum(c *commitState) error {
+func (db *Database) awaitQuorum(replLSN uint64) error {
 	k := db.opts.SyncReplicas
 	wait := db.repl.Load().WaitQuorum
-	if k <= 0 || c.replLSN == 0 || wait == nil {
+	if k <= 0 || replLSN == 0 || wait == nil {
 		return nil
 	}
-	err := wait(c.replLSN, k, db.opts.QuorumTimeout)
+	err := wait(replLSN, k, db.opts.QuorumTimeout)
 	if errors.Is(err, ErrQuorumTimeout) {
 		db.met.quorumDegraded.Add(1)
 		return nil

@@ -1,13 +1,17 @@
 package core
 
 // Tests for the commit pipeline (commit.go): the order its stages publish
-// in, what each may hold while it runs, and the two failure contracts — a
-// heap error behind the commit record, and a fenced quorum wait.
+// in, what each may hold while it runs, the head/tail cut (Pending), and the
+// failure contracts — a heap error behind the commit record, a fenced quorum
+// wait, and a failed log flush (rewound, or in doubt when it cannot be).
 
 import (
 	"errors"
 	"io"
+	iofs "io/fs"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +20,7 @@ import (
 	"sentinel/internal/rule"
 	"sentinel/internal/value"
 	"sentinel/internal/vfs"
+	"sentinel/internal/wal"
 )
 
 // stageLog records pipeline observations in arrival order.
@@ -274,4 +279,191 @@ func readX(t *testing.T, db *Database, id oid.OID) float64 {
 		t.Fatal(err)
 	}
 	return x
+}
+
+// TestCommitAnswerSurvivesPowerCut fails, in turn, every filesystem
+// operation a SyncOnCommit commit issues — as EIO and as a short write —
+// then commits once more, cuts the power and reopens. What each Commit
+// answered is what recovery must show: success means durable, "aborted"
+// means gone — the failed group's records must not ride the next commit's
+// fsync into durability — and only wal.ErrInDoubt leaves both open.
+func TestCommitAnswerSurvivesPowerCut(t *testing.T) {
+	opts := func(fs vfs.FS) Options {
+		return Options{Dir: "db", VFS: fs, SyncOnCommit: true, Output: io.Discard}
+	}
+	failed := 0
+	for _, kind := range []vfs.FaultKind{vfs.FaultEIO, vfs.FaultShortWrite} {
+		for k := 1; ; k++ {
+			fs := vfs.NewFault()
+			db := MustOpen(opts(fs))
+			mkPersistentClass(t, db)
+			ids := mkPersistentObjects(t, db, 2) // x = 0 and 1
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			fs.FailNthOp(fs.Ops()+k, kind)
+			first := db.Atomically(func(tx *Tx) error { return db.Set(tx, ids[0], "x", value.Float(42)) })
+			fs.FailNthOp(0, kind) // disarm
+			if fs.Injected() == 0 {
+				db.CloseAbrupt()
+				break // k is past the commit's last operation
+			}
+			failed++
+			second := db.Atomically(func(tx *Tx) error { return db.Set(tx, ids[1], "x", value.Float(7)) })
+			crashed := vfs.NewMem()
+			crashed.Install(fs.CrashState(fs.Ops(), vfs.CrashSynced))
+			db.CloseAbrupt()
+
+			db2, err := Open(opts(crashed))
+			if err != nil {
+				t.Fatalf("fault %d at op %d: reopen: %v", kind, k, err)
+			}
+			for _, c := range []struct {
+				id          oid.OID
+				answer      error
+				before, now float64
+			}{{ids[0], first, 0, 42}, {ids[1], second, 1, 7}} {
+				got := readX(t, db2, c.id)
+				switch {
+				case errors.Is(c.answer, wal.ErrInDoubt):
+				case c.answer == nil && got != c.now:
+					t.Fatalf("fault %d at op %d: Commit succeeded but recovery shows x = %v, want %v", kind, k, got, c.now)
+				case c.answer != nil && got != c.before:
+					t.Fatalf("fault %d at op %d: Commit = %v but recovery shows x = %v, want %v", kind, k, c.answer, got, c.before)
+				}
+			}
+			db2.CloseAbrupt()
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no injected fault landed in the commit")
+	}
+}
+
+// syncBreaker fails every file Sync and Truncate while broken is set.
+type syncBreaker struct {
+	vfs.FS
+	broken atomic.Bool
+}
+
+func (b *syncBreaker) OpenFile(path string, flag int, perm iofs.FileMode) (vfs.File, error) {
+	f, err := b.FS.OpenFile(path, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &brokenSyncFile{File: f, fs: b}, nil
+}
+
+type brokenSyncFile struct {
+	vfs.File
+	fs *syncBreaker
+}
+
+func (f *brokenSyncFile) Sync() error {
+	if f.fs.broken.Load() {
+		return errors.New("device gone")
+	}
+	return f.File.Sync()
+}
+
+func (f *brokenSyncFile) Truncate(size int64) error {
+	if f.fs.broken.Load() {
+		return errors.New("device gone")
+	}
+	return f.File.Truncate(size)
+}
+
+// TestCommitInDoubtWhenRewindFails: a commit whose fsync fails and whose log
+// rewind fails too is reported in doubt, not aborted, and every later write
+// is refused until the database is reopened.
+func TestCommitInDoubtWhenRewindFails(t *testing.T) {
+	fs := &syncBreaker{FS: vfs.NewMem()}
+	db := MustOpen(Options{Dir: "db", VFS: fs, SyncOnCommit: true, Output: io.Discard})
+	defer db.CloseAbrupt()
+	mkPersistentClass(t, db)
+	id := mkPersistentObjects(t, db, 1)[0]
+	fs.broken.Store(true)
+	err := db.Atomically(func(tx *Tx) error { return db.Set(tx, id, "x", value.Float(42)) })
+	fs.broken.Store(false)
+	if !errors.Is(err, wal.ErrInDoubt) || !strings.Contains(err.Error(), "in doubt") {
+		t.Fatalf("Commit = %v, want an in-doubt answer", err)
+	}
+	err = db.Atomically(func(tx *Tx) error { return db.Set(tx, id, "x", value.Float(43)) })
+	if !errors.Is(err, wal.ErrFailStopped) || !strings.Contains(err.Error(), "aborted") {
+		t.Fatalf("commit after the log fail-stopped = %v, want an aborted ErrFailStopped", err)
+	}
+}
+
+// TestSynchronousCommitAllocs pins the allocations of one synchronous
+// Atomically{Set} on an in-memory database at the figure before the commit
+// was cut into head and tail: Commit must stay head + tail inline with no
+// closure or boxed state per commit (raise_mem commits once per op).
+func TestSynchronousCommitAllocs(t *testing.T) {
+	db := MustOpen(Options{Output: io.Discard})
+	defer db.Close()
+	id := hotPathClass(t, db, 1)[0]
+	set := func() {
+		if err := db.Atomically(func(tx *Tx) error { return db.Set(tx, id, "x", value.Float(1)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set()
+	if n := testing.AllocsPerRun(200, set); n != 18 {
+		t.Fatalf("Atomically{Set}: %v allocs/op, want 18", n)
+	}
+}
+
+// TestPendingLeavesTailToFinish: ExecPending returns with the transaction
+// over — its write visible to a snapshot, its lock free for the next
+// writer — but the quorum wait, the push and the detached firing wait for
+// Finish, which runs them in stage order.
+func TestPendingLeavesTailToFinish(t *testing.T) {
+	db, id := quorumDB(t, false)
+	defer db.Close()
+	log := &stageLog{}
+	if _, err := db.SubscribeSink(id, SinkFilter{}, log); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Atomically(func(tx *Tx) error {
+		r, err := db.CreateRule(tx, RuleSpec{
+			Name: "after", EventSrc: "end PX::Set(float v)", Coupling: "detached",
+			Action: func(rule.ExecContext, event.Detection) error {
+				log.add("detached effect")
+				return nil
+			},
+		})
+		if err != nil {
+			return err
+		}
+		return db.Subscribe(tx, id, r.ID())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db.SetReplicator(Replicator{
+		Ship: func(ReplBatch) {},
+		WaitQuorum: func(uint64, int, time.Duration) error {
+			log.add("quorum-wait")
+			return nil
+		},
+	})
+	p := db.atomicallyPending(func(tx *Tx) error {
+		_, err := db.Send(tx, id, "Set", value.Float(5))
+		return err
+	})
+	if !p.AwaitsQuorum() {
+		t.Fatal("a logged quorum commit does not report AwaitsQuorum")
+	}
+	if got := readX(t, db, id); got != 5 {
+		t.Fatalf("after the head x = %v, want 5 (visible, lock released)", got)
+	}
+	if got := log.snapshot(); len(got) != 0 {
+		t.Fatalf("the head ran tail stages: %q", got)
+	}
+	if err := p.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"quorum-wait", "push", "detached effect"}
+	if got := log.snapshot(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("Finish ran %q, want %q", got, want)
+	}
 }

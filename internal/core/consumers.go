@@ -98,8 +98,8 @@ const (
 	scopeKindAll
 )
 
-func scopeNone() consumerScope            { return consumerScope{kind: scopeKindNone} }
-func scopeObj(id oid.OID) consumerScope   { return consumerScope{kind: scopeKindObj, id: id} }
+func scopeNone() consumerScope          { return consumerScope{kind: scopeKindNone} }
+func scopeObj(id oid.OID) consumerScope { return consumerScope{kind: scopeKindObj, id: id} }
 func scopeClass(name string) consumerScope {
 	return consumerScope{kind: scopeKindClass, name: name}
 }

@@ -86,14 +86,14 @@ func newCoreMetrics(db *Database, opts Options) *coreMetrics {
 		slowNs:  int64(opts.SlowRuleThreshold),
 		slowLog: obs.NewSlowLog(slowLogCapacity),
 
-		sends:          reg.Counter("sentinel_sends_total", "method dispatches"),
-		eventsRaised:   reg.Counter("sentinel_events_raised_total", "primitive occurrences generated"),
-		notifications:  reg.Counter("sentinel_notifications_total", "occurrence deliveries to consumers"),
-		detections:     reg.Counter("sentinel_detections_total", "event detections signalled"),
-		conditionsRun:  reg.Counter("sentinel_conditions_run_total", "rule conditions evaluated"),
-		actionsRun:     reg.Counter("sentinel_actions_run_total", "rule actions executed (condition held)"),
-		rulesScheduled: reg.Counter("sentinel_rules_scheduled_total", "detections scheduled for rule execution"),
-		slowFirings:    reg.Counter("sentinel_slow_firings_total", "rule firings at or above SlowRuleThreshold"),
+		sends:           reg.Counter("sentinel_sends_total", "method dispatches"),
+		eventsRaised:    reg.Counter("sentinel_events_raised_total", "primitive occurrences generated"),
+		notifications:   reg.Counter("sentinel_notifications_total", "occurrence deliveries to consumers"),
+		detections:      reg.Counter("sentinel_detections_total", "event detections signalled"),
+		conditionsRun:   reg.Counter("sentinel_conditions_run_total", "rule conditions evaluated"),
+		actionsRun:      reg.Counter("sentinel_actions_run_total", "rule actions executed (condition held)"),
+		rulesScheduled:  reg.Counter("sentinel_rules_scheduled_total", "detections scheduled for rule execution"),
+		slowFirings:     reg.Counter("sentinel_slow_firings_total", "rule firings at or above SlowRuleThreshold"),
 		ccHits:          reg.Counter("sentinel_consumer_cache_hits_total", "consumer-resolution cache hits on the raise path"),
 		ccMisses:        reg.Counter("sentinel_consumer_cache_misses_total", "consumer-resolution cache recomputations"),
 		ccInvalidations: reg.Counter("sentinel_consumer_cache_invalidations_total", "consumer-cache invalidation scopes applied by catalog mutations"),

@@ -278,41 +278,75 @@ func (db *Database) ApplyBaseState(lsn uint64, objs []ReplBaseObject) error {
 	return db.Checkpoint()
 }
 
-// ApplyReplicated applies one shipped batch on a replica: WAL-log it (the
-// follower's own recovery then reproduces the applied prefix up to its
-// fsync floor), install every image through the directory with MVCC
-// versioning, refresh the catalogs a follower needs for decoding and
-// lookups (__ClassDef registrations, __Name bindings), and fan the shipped
-// occurrences out to local sink subscribers.
+// ApplyReplicated applies shipped batches on a replica, in order. Each run
+// of data batches is WAL-logged with one write and one fsync (the follower's
+// own recovery then reproduces the applied prefix up to its fsync floor);
+// then every batch of the run installs its images through the directory with
+// MVCC versioning at its own commit LSN, the catalogs a follower needs for
+// decoding and lookups are refreshed (__ClassDef registrations, __Name
+// bindings), the applied LSN moves to the run's last batch, and the run's
+// occurrences fan out to local sink subscribers batch by batch. An
+// event-only batch (LSN 0) only fans out, and ends a run.
 //
-// Batches must arrive in LSN order with no gaps; a gap returns an error and
-// the caller (internal/repl's follower loop) tears the stream down and
-// re-handshakes from its applied LSN. A batch at or below the applied LSN
-// is a duplicate (a resume overlap) and is dropped without re-delivery.
-func (db *Database) ApplyReplicated(b ReplBatch) error {
+// Batches must arrive in LSN order with no gaps; a gap applies the batches
+// before it and returns an error, and the caller (internal/repl's follower
+// loop) tears the stream down and re-handshakes from its applied LSN. A
+// batch at or below the applied LSN is a duplicate (a resume overlap) and is
+// dropped without re-delivery.
+func (db *Database) ApplyReplicated(bs ...ReplBatch) error {
 	if !db.opts.Replica {
 		return errors.New("core: ApplyReplicated on a non-replica database")
 	}
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
-
-	if b.LSN == 0 {
-		// Event-only batch: nothing durable, deliver and done.
-		db.fanoutReplicated(b.Occs)
-		return nil
+	for len(bs) > 0 {
+		if bs[0].LSN == 0 {
+			db.fanoutReplicated(bs[0].Occs)
+			bs = bs[1:]
+			continue
+		}
+		n := 1
+		for n < len(bs) && bs[n].LSN != 0 {
+			n++
+		}
+		if err := db.applyRun(bs[:n]); err != nil {
+			return err
+		}
+		bs = bs[n:]
 	}
+	return nil
+}
+
+// applyRun applies a run of data batches (see ApplyReplicated). Caller
+// holds applyMu.
+func (db *Database) applyRun(run []ReplBatch) error {
 	cur := db.ReplLSN()
-	if b.LSN <= cur {
-		return nil
+	for len(run) > 0 && run[0].LSN <= cur {
+		run = run[1:] // duplicates
 	}
-	if b.LSN != cur+1 {
-		return fmt.Errorf("core: replication gap: applied LSN %d, got batch %d", cur, b.LSN)
+	var gap error
+	for i, b := range run {
+		if b.LSN != cur+1+uint64(i) {
+			gap = fmt.Errorf("core: replication gap: applied LSN %d, got batch %d", cur+uint64(i), b.LSN)
+			run = run[:i]
+			break
+		}
+	}
+	if len(run) == 0 {
+		return gap
 	}
 
-	// Register any DSL classes this batch defines before decoding anything:
-	// the batch may create a class and instances of it, and a commit emits
-	// its records in arbitrary write-set order.
-	for _, r := range b.Recs {
+	// Register any DSL classes the run defines before decoding anything: a
+	// batch may create a class and instances of it, and a commit emits its
+	// records in arbitrary write-set order.
+	recs := run[0].Recs
+	if len(run) > 1 {
+		recs = nil
+		for _, b := range run {
+			recs = append(recs, b.Recs...)
+		}
+	}
+	for _, r := range recs {
 		if r.Type != wal.RecUpdate {
 			continue
 		}
@@ -325,50 +359,61 @@ func (db *Database) ApplyReplicated(b ReplBatch) error {
 
 	db.ckptMu.RLock()
 	// Redo rule, same as the primary: log before apply, so a crash between
-	// the two replays the batch instead of losing it.
-	if err := db.log.CommitBatch(b.Recs, db.opts.SyncOnCommit); err != nil {
+	// the two replays the run instead of losing it.
+	if err := db.log.CommitBatch(recs, db.opts.SyncOnCommit); err != nil {
 		db.ckptMu.RUnlock()
 		return err
 	}
-	c := db.lsn.begin()
-	w := db.watermark()
 	var deleted []oid.OID
-	var applyErr error
-	for _, r := range b.Recs {
-		switch r.Type {
-		case wal.RecUpdate:
-			applyErr = db.applyReplUpdate(r.OID, r.Data, c, w)
-		case wal.RecDelete:
-			applyErr = db.applyReplDelete(r.OID, c)
-			deleted = append(deleted, r.OID)
+	applied, applyErr := 0, error(nil)
+	for _, b := range run {
+		c := db.lsn.begin()
+		w := db.watermark()
+		kept := len(deleted)
+		for _, r := range b.Recs {
+			switch r.Type {
+			case wal.RecUpdate:
+				applyErr = db.applyReplUpdate(r.OID, r.Data, c, w)
+			case wal.RecDelete:
+				applyErr = db.applyReplDelete(r.OID, c)
+				deleted = append(deleted, r.OID)
+			}
+			if applyErr != nil {
+				break
+			}
 		}
+		db.lsn.end(c)
 		if applyErr != nil {
+			deleted = deleted[:kept]
 			break
 		}
+		applied++
 	}
-	db.lsn.end(c)
 	db.ckptMu.RUnlock()
-	if applyErr != nil {
-		// The batch is in the local WAL; recovery will re-apply it, so the
-		// applied LSN deliberately does not advance past a failed apply.
-		return applyErr
+
+	// The whole run is in the local WAL, and recovery will re-apply a batch
+	// whose apply failed, so the applied LSN deliberately stops before it.
+	if applied > 0 {
+		db.replMu.Lock()
+		db.replLSN = run[applied-1].LSN
+		db.replMu.Unlock()
+		for _, b := range run[:applied] {
+			db.fanoutReplicated(b.Occs)
+		}
 	}
-
-	db.replMu.Lock()
-	db.replLSN = b.LSN
-	db.replMu.Unlock()
-
-	db.fanoutReplicated(b.Occs)
 	if len(deleted) > 0 {
 		dw := db.watermark()
 		for _, id := range deleted {
 			db.dir.dropDeleted(id, dw)
 		}
 	}
+	if applyErr != nil {
+		return applyErr
+	}
 	db.maybeSweepChains()
 	db.maybeAutoCheckpoint()
 	db.maybeEvict()
-	return nil
+	return gap
 }
 
 // applyReplClassDef replays a shipped __ClassDef so subsequent images of

@@ -10,9 +10,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"sentinel/internal/core"
+	"sentinel/internal/event"
+	"sentinel/internal/vfs"
 	"sentinel/internal/wal"
 )
 
@@ -288,5 +291,108 @@ func TestReplicaRejectsLocalWrites(t *testing.T) {
 func TestReplicaOptionsRequireDir(t *testing.T) {
 	if _, err := core.Open(core.Options{Replica: true, Output: io.Discard}); err == nil {
 		t.Fatal("in-memory replica accepted")
+	}
+}
+
+// traceSink records every push a replica fans out, in order.
+type traceSink struct{ got []string }
+
+func (s *traceSink) DeliverEvent(_ uint64, occ event.Occurrence) {
+	s.got = append(s.got, fmt.Sprintf("%d:%s%v", occ.Seq, occ.Method, occ.Args))
+}
+
+// TestApplyRunOneFsync: a follower applying k data batches in one
+// ApplyReplicated call pays one WAL fsync, and ends in exactly the state, LSN
+// and push trace k single applies leave. An event-only batch inside the run
+// splits it (two fsyncs) and its pushes keep their place.
+func TestApplyRunOneFsync(t *testing.T) {
+	src := core.MustOpen(persistentOpts(t.TempDir()))
+	defer src.Close()
+	got := captureShip(src)
+	if err := src.Exec(coreReplSchema); err != nil {
+		t.Fatal(err)
+	}
+	setup := len(*got)
+	const k = 5
+	for i := 1; i <= k; i++ {
+		if err := src.Exec(fmt.Sprintf("K!Set(%d)", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var run []core.ReplBatch
+	for _, b := range (*got)[setup:] {
+		if b.LSN != 0 {
+			run = append(run, b)
+		}
+	}
+	if len(run) != k {
+		t.Fatalf("%d data batches for %d commits", len(run), k)
+	}
+	// An event-only batch re-announcing batch 2's occurrences, between 2 and 3.
+	withEvent := append(append(append([]core.ReplBatch(nil), run[:2]...), core.ReplBatch{Occs: run[1].Occs}), run[2:]...)
+
+	// replay opens a replica, applies the setup batches one by one, subscribes
+	// to K, then applies batches in the given groups: it returns the final
+	// K.n, the applied LSN, the WAL fsyncs the groups cost and the pushes.
+	replay := func(groups [][]core.ReplBatch) (n string, lsn uint64, syncs int64, pushes []string) {
+		fs := vfs.NewLatency(vfs.NewMem(), 0, 0)
+		opts := persistentOpts("db")
+		opts.VFS, opts.Replica = fs, true
+		replica := core.MustOpen(opts)
+		defer replica.Close()
+		for _, b := range (*got)[:setup] {
+			if err := replica.ApplyReplicated(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id, ok := replica.Lookup("K")
+		if !ok {
+			t.Fatal("K not bound on replica")
+		}
+		sink := &traceSink{}
+		if _, err := replica.SubscribeSink(id, core.SinkFilter{}, sink); err != nil {
+			t.Fatal(err)
+		}
+		before := fs.Syncs()
+		for _, g := range groups {
+			if err := replica.ApplyReplicated(g...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		syncs = fs.Syncs() - before
+		snap := replica.BeginSnapshot()
+		v, err := replica.Get(snap, id, "n")
+		replica.Abort(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.String(), replica.ReplLSN(), syncs, sink.got
+	}
+	singles := func(bs []core.ReplBatch) [][]core.ReplBatch {
+		var gs [][]core.ReplBatch
+		for _, b := range bs {
+			gs = append(gs, []core.ReplBatch{b})
+		}
+		return gs
+	}
+	for _, tc := range []struct {
+		name     string
+		batches  []core.ReplBatch
+		runSyncs int64
+	}{
+		{"data only", run, 1},
+		{"event-only batch inside", withEvent, 2},
+	} {
+		n1, lsn1, syncs1, trace1 := replay(singles(tc.batches))
+		n2, lsn2, syncs2, trace2 := replay([][]core.ReplBatch{tc.batches})
+		if syncs1 != k || syncs2 != tc.runSyncs {
+			t.Errorf("%s: fsyncs %d single / %d as one call, want %d / %d", tc.name, syncs1, syncs2, k, tc.runSyncs)
+		}
+		if n1 != n2 || n2 != fmt.Sprint(k) || lsn1 != lsn2 || lsn2 != run[k-1].LSN {
+			t.Errorf("%s: K.n %s / %s, LSN %d / %d; want %d, LSN %d", tc.name, n1, n2, lsn1, lsn2, k, run[k-1].LSN)
+		}
+		if strings.Join(trace1, " ") != strings.Join(trace2, " ") || len(trace2) < len(tc.batches) {
+			t.Errorf("%s: pushes differ:\n single: %v\n run:    %v", tc.name, trace1, trace2)
+		}
 	}
 }

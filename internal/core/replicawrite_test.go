@@ -147,8 +147,8 @@ func TestReplicaWriteSweep(t *testing.T) {
 
 	// Script-level entry points: same gate through the interpreter.
 	for name, src := range map[string]string{
-		"Exec/send":   "K0!Set(9)",
-		"Exec/bind":   "bind K9 new Kit(n: 9)",
+		"Exec/send":  "K0!Set(9)",
+		"Exec/bind":  "bind K9 new Kit(n: 9)",
 		"Exec/class": "class Fresh persistent { attr a int }",
 	} {
 		t.Run(name, func(t *testing.T) {

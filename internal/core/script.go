@@ -56,19 +56,30 @@ func (db *Database) ExecScript(t *Tx, src string) error {
 }
 
 // Exec is ExecScript in its own transaction.
-func (db *Database) Exec(src string) error {
-	return db.Atomically(func(t *Tx) error { return db.ExecScript(t, src) })
+func (db *Database) Exec(src string) error { return db.ExecPending(src).Finish() }
+
+// ExecPending is Exec with the commit's tail left to the caller (see
+// Pending).
+func (db *Database) ExecPending(src string) Pending {
+	return db.atomicallyPending(func(t *Tx) error { return db.ExecScript(t, src) })
 }
 
 // Eval evaluates a single SentinelQL expression in its own transaction and
 // returns the result.
 func (db *Database) Eval(src string) (value.Value, error) {
+	v, p := db.EvalPending(src)
+	return v, p.Finish()
+}
+
+// EvalPending is Eval with the commit's tail left to the caller (see
+// Pending); the value is final once it returns.
+func (db *Database) EvalPending(src string) (value.Value, Pending) {
 	ast, err := lang.ParseCondition(src)
 	if err != nil {
-		return value.Nil, err
+		return value.Nil, Pending{err: err}
 	}
 	var out value.Value
-	err = db.Atomically(func(t *Tx) error {
+	p := db.atomicallyPending(func(t *Tx) error {
 		fr := &frame{db: db, tx: t}
 		in := lang.NewInterp(fr, fr.Self(), nil)
 		v, err := in.Eval(ast)
@@ -78,7 +89,7 @@ func (db *Database) Eval(src string) (value.Value, error) {
 		out = v
 		return nil
 	})
-	return out, err
+	return out, p
 }
 
 // specFromDecl converts a parsed rule declaration into a RuleSpec. A rule

@@ -231,4 +231,3 @@ func (db *Database) countObjects() (resident, total int) {
 	}
 	return resident, total
 }
-

@@ -224,12 +224,17 @@ func (t *Tx) resetTouched() {
 // on error (returning the error). An AbortError raised by a rule or method
 // is returned as-is after rollback.
 func (db *Database) Atomically(fn func(*Tx) error) error {
+	return db.atomicallyPending(fn).Finish()
+}
+
+// atomicallyPending is Atomically cut after the commit head (see Pending).
+func (db *Database) atomicallyPending(fn func(*Tx) error) Pending {
 	t := db.Begin()
 	if err := fn(t); err != nil {
 		db.Abort(t)
-		return err
+		return Pending{err: err}
 	}
-	return db.Commit(t)
+	return db.commitHead(t)
 }
 
 // ---- object primitives ----

@@ -119,4 +119,3 @@ func TestPreFixSaveIndexLosesMeta(t *testing.T) {
 		t.Fatalf("rebuilt table has %d entries, want 1", r.Len())
 	}
 }
-

@@ -181,77 +181,111 @@ func (f *Follower) stream(ctx context.Context, cli *client.Client) {
 		}
 	}
 
-	var base []core.ReplBaseObject
+	var (
+		base    []core.ReplBaseObject
+		carried *push // the frame that ended the last run, handled next
+	)
 	syncing := needBase
 	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-cli.Done():
-			return
-		case m := <-applyCh:
-			switch m.op {
-			case wire.OpReplSnap:
-				objs, err := wire.DecodeReplSnap(m.payload)
-				if err != nil {
-					return
-				}
-				for _, o := range objs {
-					base = append(base, core.ReplBaseObject{ID: o.ID, Img: o.Img})
-				}
-			case wire.OpReplSnapEnd:
-				// The snap-end meta blob (OID high-water, clock) is not
-				// installed: a replica never allocates OIDs or stamps
-				// sequence numbers, and ApplyBaseState rebuilds the catalog
-				// from the system objects in the images themselves.
-				baseLSN, _, err := wire.DecodeReplSnapEnd(m.payload)
-				if err != nil {
-					return
-				}
-				// Adopt the epoch before the install: ApplyBaseState ends
-				// with a checkpoint, so the new (epoch, LSN) pair persists
-				// atomically with the installed state. A failed install
-				// leaves the in-memory state torn, so drop to epoch 0 —
-				// "history of no verifiable lineage" — which forces the next
-				// handshake to re-seed from base state (a fresh install
-				// repairs any tear; images are full and idempotent).
-				f.DB.SetReplEpoch(primaryEpoch)
-				if err := f.DB.ApplyBaseState(baseLSN, base); err != nil {
-					f.DB.SetReplEpoch(0)
-					return
-				}
-				base = nil
-				syncing = false
-				if baseLSN > f.primaryLSN.Load() {
-					f.primaryLSN.Store(baseLSN)
-				}
-				kickAck()
-			case wire.OpReplFrames:
-				wb, err := wire.DecodeReplBatch(m.payload)
-				if err != nil {
-					return
-				}
-				if syncing && wb.LSN != 0 {
-					// A data frame racing a base sync is covered by the
-					// base state being installed; applying it now would
-					// land ahead of the install.
-					continue
-				}
-				b := BatchFromWire(wb)
-				if b.LSN > f.primaryLSN.Load() {
-					f.primaryLSN.Store(b.LSN)
-				}
-				if err := f.DB.ApplyReplicated(b); err != nil {
-					// Gap or apply failure: tear the stream down and
-					// re-handshake from the replica's applied LSN.
-					return
-				}
-				if b.LSN != 0 {
-					kickAck()
-				}
+		var m push
+		if carried != nil {
+			m, carried = *carried, nil
+		} else {
+			select {
+			case <-ctx.Done():
+				return
+			case <-cli.Done():
+				return
+			case m = <-applyCh:
+			}
+		}
+		switch m.op {
+		case wire.OpReplSnap:
+			objs, err := wire.DecodeReplSnap(m.payload)
+			if err != nil {
+				return
+			}
+			for _, o := range objs {
+				base = append(base, core.ReplBaseObject{ID: o.ID, Img: o.Img})
+			}
+		case wire.OpReplSnapEnd:
+			// The snap-end meta blob (OID high-water, clock) is not
+			// installed: a replica never allocates OIDs or stamps
+			// sequence numbers, and ApplyBaseState rebuilds the catalog
+			// from the system objects in the images themselves.
+			baseLSN, _, err := wire.DecodeReplSnapEnd(m.payload)
+			if err != nil {
+				return
+			}
+			// Adopt the epoch before the install: ApplyBaseState ends
+			// with a checkpoint, so the new (epoch, LSN) pair persists
+			// atomically with the installed state. A failed install
+			// leaves the in-memory state torn, so drop to epoch 0 —
+			// "history of no verifiable lineage" — which forces the next
+			// handshake to re-seed from base state (a fresh install
+			// repairs any tear; images are full and idempotent).
+			f.DB.SetReplEpoch(primaryEpoch)
+			if err := f.DB.ApplyBaseState(baseLSN, base); err != nil {
+				f.DB.SetReplEpoch(0)
+				return
+			}
+			base = nil
+			syncing = false
+			if baseLSN > f.primaryLSN.Load() {
+				f.primaryLSN.Store(baseLSN)
+			}
+			kickAck()
+		case wire.OpReplFrames:
+			wb, err := wire.DecodeReplBatch(m.payload)
+			if err != nil {
+				return
+			}
+			if syncing && wb.LSN != 0 {
+				// A data frame racing a base sync is covered by the
+				// base state being installed; applying it now would
+				// land ahead of the install.
+				continue
+			}
+			run := []core.ReplBatch{BatchFromWire(wb)}
+			if wb.LSN != 0 {
+				run, carried = gatherRun(applyCh, run)
+			}
+			if last := run[len(run)-1].LSN; last > f.primaryLSN.Load() {
+				f.primaryLSN.Store(last)
+			}
+			if err := f.DB.ApplyReplicated(run...); err != nil {
+				// Gap or apply failure: tear the stream down and
+				// re-handshake from the replica's applied LSN.
+				return
+			}
+			if wb.LSN != 0 {
+				kickAck() // one ack per run, at its last batch
 			}
 		}
 	}
+}
+
+// gatherRun extends a run that starts with a data batch by every data frame
+// already queued on applyCh (at most the channel's capacity), so the run
+// costs one WAL write and one fsync. An event-only batch or a snapshot frame
+// ends the run; it is returned for the caller to handle next.
+func gatherRun(applyCh chan push, run []core.ReplBatch) ([]core.ReplBatch, *push) {
+	for len(run) < cap(applyCh) {
+		var m push
+		select {
+		case m = <-applyCh:
+		default:
+			return run, nil
+		}
+		if m.op == wire.OpReplFrames {
+			if wb, err := wire.DecodeReplBatch(m.payload); err == nil && wb.LSN != 0 {
+				run = append(run, BatchFromWire(wb))
+				continue
+			}
+		}
+		return run, &m
+	}
+	return run, nil
 }
 
 // adoptEpoch moves the replica onto the primary's epoch and checkpoints it

@@ -5,18 +5,32 @@
 //
 // Session shape (the ≤2-goroutines-per-idle-session rule):
 //
-//	reader ── decodes frames, executes each opcode inline (so execution
-//	          order is exactly TCP arrival order — pipelining needs no
-//	          reorder buffer), enqueues the response
-//	writer ── drains the bounded out-queue into the socket, coalescing
-//	          whatever is pending into one flush
+//	reader    ── decodes frames, executes each opcode inline (so execution
+//	             order is exactly TCP arrival order and no two requests of
+//	             a session ever execute concurrently), enqueues the
+//	             response — or, for an EXEC/EVAL whose commit must wait
+//	             for a replication quorum, parks the commit's tail
+//	             (core.Pending) and reads the next request
+//	writer    ── drains the bounded out-queue into the socket, coalescing
+//	             whatever is pending into one flush
+//	completer ── exists only while tails are parked: finishes them strictly
+//	             in request order, so each commit's pushes enqueue before
+//	             its response and responses leave in request order (a
+//	             request arriving behind parked tails is answered through
+//	             the same queue)
 //
-// Responses enqueue blocking: the reader stalls when the client does not
-// drain its socket, which is exactly TCP backpressure surfacing to the
-// protocol layer. Pushes (core commit fan-out → DeliverEvent) must NEVER
-// block — they run on committing goroutines — so they enqueue non-blocking
-// and overflow is handled by policy: drop the event (default, counted) or
-// disconnect the slow session. Either way the commit path proceeds
+// SUBSCRIBE, UNSUBSCRIBE, HELLO and the REPL* opcodes are barriers: they
+// wait until every parked tail finished, so a subscription never hears an
+// event committed before it. At most QueueLen tails park; then the reader
+// waits.
+//
+// Responses enqueue blocking: the reader (or the completer) stalls when the
+// client does not drain its socket, which is exactly TCP backpressure
+// surfacing to the protocol layer. Pushes (core commit fan-out →
+// DeliverEvent) must NEVER block — they run on committing goroutines and
+// completers — so they enqueue non-blocking and overflow is handled by
+// policy: drop the event (default, counted) or disconnect the slow
+// session. Either way the commit path proceeds
 // untouched; this is the detached executor's bounded-queue discipline with
 // drops in place of backpressure, because a remote subscriber — unlike a
 // rule — has no transactional claim on the commit.
@@ -195,6 +209,7 @@ func (s *Server) startSession(conn net.Conn) {
 		done: make(chan struct{}),
 		subs: make(map[uint64]bool),
 	}
+	sess.tailCond.L = &sess.tailMu
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -236,6 +251,22 @@ type session struct {
 
 	// drops counts pushes this session lost to a full queue (DropEvents).
 	drops atomic.Uint64
+
+	// tails are the responses waiting behind a parked commit tail, in
+	// request order; a completer goroutine runs while it is non-empty. An
+	// entry leaves only once its response is enqueued, so an empty queue
+	// means every earlier response is on the out-queue. tailCond (on
+	// tailMu) signals each departure.
+	tailMu   sync.Mutex
+	tailCond sync.Cond
+	tails    []parked
+}
+
+// parked is one request answered behind the parked tails: its commit's tail
+// (the zero Pending when there is none) and the response sent on success.
+type parked struct {
+	p    core.Pending
+	resp wire.Frame
 }
 
 // teardown shuts the session down exactly once, from any goroutine:
@@ -350,17 +381,95 @@ func (s *session) readLoop() {
 			return
 		}
 		s.srv.met.framesIn.Inc()
-		resp := s.handle(f)
+		if isBarrier(f.Op) {
+			s.drainTails()
+		}
+		var tail core.Pending
+		resp := s.handle(f, &tail)
 		if resp.Op == 0 {
 			// Sentinel: the handler enqueued its response itself (the
 			// replication handshake, whose welcome must precede the
 			// stream's first push).
 			continue
 		}
-		if !s.enqueue(resp) {
+		if !s.respond(tail, resp) {
 			return
 		}
 	}
+}
+
+// isBarrier reports the opcodes that first wait out every parked tail: a
+// subscription must not hear an event committed before it, and the
+// handshake and replication opcodes change what the session is.
+func isBarrier(op byte) bool {
+	switch op {
+	case wire.OpSubscribe, wire.OpUnsubscribe, wire.OpHello,
+		wire.OpReplHello, wire.OpReplAck, wire.OpReplPromote, wire.OpReplFence:
+		return true
+	}
+	return false
+}
+
+// respond sends a request's response — after finishing its commit's tail p —
+// in request order. With nothing parked and no quorum to wait for, both
+// happen here; otherwise the request parks behind the tails already
+// outstanding (the reader blocks while QueueLen of them are) and the
+// completer answers it. False means the session died.
+func (s *session) respond(p core.Pending, resp wire.Frame) bool {
+	s.tailMu.Lock()
+	if len(s.tails) == 0 && !p.AwaitsQuorum() {
+		s.tailMu.Unlock()
+		return s.enqueue(s.finish(p, resp))
+	}
+	for len(s.tails) >= s.srv.opts.QueueLen {
+		s.tailCond.Wait()
+	}
+	s.tails = append(s.tails, parked{p, resp})
+	if len(s.tails) == 1 {
+		s.srv.wg.Add(1)
+		go s.complete()
+	}
+	s.tailMu.Unlock()
+	return true
+}
+
+// finish runs p's tail and returns the response it earned.
+func (s *session) finish(p core.Pending, resp wire.Frame) wire.Frame {
+	if err := p.Finish(); err != nil {
+		return s.errFrame(resp.ReqID, err)
+	}
+	return resp
+}
+
+// complete is the completer: it finishes the parked tails strictly in
+// request order — each commit's pushes enqueue inside Finish, before its
+// response — and exits when none is left. A dead session's tails still
+// finish (their reclaim and detached dispatch must run); only their
+// responses go nowhere.
+func (s *session) complete() {
+	defer s.srv.wg.Done()
+	s.tailMu.Lock()
+	for len(s.tails) > 0 {
+		pt := s.tails[0]
+		s.tailMu.Unlock()
+		s.enqueue(s.finish(pt.p, pt.resp))
+		s.tailMu.Lock()
+		n := copy(s.tails, s.tails[1:])
+		s.tails[n] = parked{}
+		s.tails = s.tails[:n]
+		s.tailCond.Broadcast()
+	}
+	s.tailMu.Unlock()
+}
+
+// drainTails blocks until every parked tail finished and its response is
+// enqueued.
+func (s *session) drainTails() {
+	s.tailMu.Lock()
+	for len(s.tails) > 0 {
+		s.tailCond.Wait()
+	}
+	s.tailMu.Unlock()
 }
 
 // writeLoop drains the out-queue into the socket. Consecutive pending
@@ -407,11 +516,12 @@ func (s *session) errFrame(reqID uint32, err error) wire.Frame {
 
 var errZeroReqID = errors.New("request id 0 is reserved for pushes")
 
-// handle executes one request frame and returns its response. The frame's
-// payload aliases the read scratch, so anything retained (strings decode
-// by copy already) must not outlive the call — responses carry freshly
-// built payloads.
-func (s *session) handle(f wire.Frame) wire.Frame {
+// handle executes one request frame and returns its response; for EXEC and
+// EVAL it stores in tail the commit's tail, still to finish before the
+// response may go out. The frame's payload aliases the read scratch, so
+// anything retained (strings decode by copy already) must not outlive the
+// call — responses carry freshly built payloads.
+func (s *session) handle(f wire.Frame, tail *core.Pending) wire.Frame {
 	if f.ReqID == 0 {
 		return s.errFrame(0, errZeroReqID)
 	}
@@ -441,9 +551,7 @@ func (s *session) handle(f wire.Frame) wire.Frame {
 		if !ok {
 			return s.errFrame(f.ReqID, errors.New("EXEC payload is not a string"))
 		}
-		if err := db.Exec(src); err != nil {
-			return s.errFrame(f.ReqID, err)
-		}
+		*tail = db.ExecPending(src)
 		return wire.Frame{Op: wire.OpOK, ReqID: f.ReqID}
 
 	case wire.OpEval:
@@ -455,10 +563,8 @@ func (s *session) handle(f wire.Frame) wire.Frame {
 		if !ok {
 			return s.errFrame(f.ReqID, errors.New("EVAL payload is not a string"))
 		}
-		v, err := db.Eval(src)
-		if err != nil {
-			return s.errFrame(f.ReqID, err)
-		}
+		v, p := db.EvalPending(src)
+		*tail = p
 		return wire.Frame{Op: wire.OpResult, ReqID: f.ReqID, Payload: wire.AppendValues(nil, v)}
 
 	case wire.OpLookup:

@@ -165,7 +165,7 @@ func TestFaultCrashStateModes(t *testing.T) {
 	fs := NewFault()
 	// Classic atomic-replace sequence with a missing temp-file fsync:
 	// create tmp, write tmp, rename tmp->idx, fsync other file.
-	WriteFile(fs, "other", []byte("o"), 0o644) // create+write+sync: ops 1-3
+	WriteFile(fs, "other", []byte("o"), 0o644)                 // create+write+sync: ops 1-3
 	tmp, _ := fs.OpenFile("tmp", os.O_RDWR|os.O_CREATE, 0o644) // op 4
 	tmp.Write([]byte("INDEX"))                                 // op 5 (unsynced)
 	tmp.Close()

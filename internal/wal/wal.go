@@ -19,6 +19,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -80,6 +81,10 @@ type Log struct {
 	// decide whether a bounded wait window could pay off.
 	group    groupState
 	inflight atomic.Int32
+
+	// failed is the sticky fail-stop error, set under mu once a failed group
+	// flush could not be rewound (see rewind); every later flush refuses.
+	failed error
 
 	// Instrumentation hooks (see SetHooks / SetGroupHook); nil means
 	// uninstrumented.
@@ -478,11 +483,22 @@ func (l *Log) SetGroupHook(fn func(commits int)) {
 	l.onGroup = fn
 }
 
+// ErrInDoubt reports a group whose flush failed and whose rewind failed
+// too: its records may or may not survive a crash, so its commits are
+// neither committed nor aborted until a reopen's recovery decides. The log
+// is fail-stopped from then on.
+var ErrInDoubt = errors.New("wal: commit outcome in doubt")
+
+// ErrFailStopped refuses a commit after an earlier failed flush could not be
+// rewound. Nothing of the refused commit was written; reopen the log.
+var ErrFailStopped = errors.New("wal: log fail-stopped after a failed rewind")
+
 // CommitBatch appends the batch atomically with respect to other CommitBatch
 // callers and, when durable is set, returns only once the batch is on stable
 // storage. Concurrent callers are coalesced into one write + one fsync (see
-// the protocol comment above). On error the records must be considered not
-// durable: every commit in the failed group reports the error.
+// the protocol comment above). On error every commit in the group reports
+// it, and the group's records are gone from the log — a failed flush is
+// rewound before anyone hears of it — unless the error is ErrInDoubt.
 func (l *Log) CommitBatch(recs []Record, durable bool) error {
 	l.inflight.Add(1)
 	defer l.inflight.Add(-1)
@@ -532,9 +548,14 @@ func (l *Log) CommitBatch(recs []Record, durable bool) error {
 }
 
 // flushGroup writes every claimed batch with one buffered write and fsyncs
-// once if any request wants durability.
+// once if any request wants durability. A failed write or fsync is rewound.
 func (l *Log) flushGroup(batch []*groupReq) error {
 	l.mu.Lock()
+	if l.failed != nil {
+		l.mu.Unlock()
+		return l.failed
+	}
+	start := l.size
 	err := l.writeFramesLocked(func(buf []byte) []byte {
 		for _, r := range batch {
 			buf = frameRecords(buf, r.recs)
@@ -546,30 +567,54 @@ func (l *Log) flushGroup(batch []*groupReq) error {
 	if l.onGroup != nil {
 		l.onGroup(len(batch))
 	}
-	if err != nil {
-		return err
-	}
-	needSync := false
+	durable := false
 	for _, r := range batch {
-		if r.sync {
-			needSync = true
-			break
+		durable = durable || r.sync
+	}
+	if err == nil && durable {
+		err = l.fsync()
+	}
+	if err != nil {
+		return l.rewind(start, err)
+	}
+	if durable {
+		// Keep SyncBarrier's high-water mark coherent: everything up to
+		// target is durable now.
+		l.sync.mu.Lock()
+		if target > l.sync.syncedTo {
+			l.sync.syncedTo = target
 		}
+		l.sync.mu.Unlock()
 	}
-	if !needSync {
-		return nil
+	return nil
+}
+
+// rewind undoes a failed group flush: the log is truncated back to where the
+// group began and that is synced, so no later fsync can make the failed
+// group's records durable behind its committers' "aborted". If the rewind
+// fails too, the group's fate is unknown (ErrInDoubt) and the log
+// fail-stops: every later flush refuses with ErrFailStopped.
+func (l *Log) rewind(start int64, cause error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	err := l.f.Truncate(start)
+	if err == nil {
+		_, err = l.f.Seek(start, io.SeekStart)
 	}
-	if err := l.fsync(); err != nil {
-		return err
+	if err == nil {
+		err = l.f.Sync()
 	}
-	// Keep SyncBarrier's high-water mark coherent: everything up to target
-	// is durable now.
+	if err != nil {
+		l.failed = fmt.Errorf("%w (flush: %v; rewind: %v)", ErrFailStopped, cause, err)
+		return fmt.Errorf("%w: %v; rewinding the log failed: %v", ErrInDoubt, cause, err)
+	}
+	l.size = start
 	l.sync.mu.Lock()
-	if target > l.sync.syncedTo {
-		l.sync.syncedTo = target
+	if l.sync.syncedTo > start {
+		l.sync.syncedTo = start
 	}
 	l.sync.mu.Unlock()
-	return nil
+	return cause
 }
 
 func (l *Log) fsync() error {
