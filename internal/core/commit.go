@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,12 +48,14 @@ type commitState struct {
 	replLSN uint64 // replication LSN of the batch; 0 when none was logged
 }
 
-// commitScratch is the reusable per-commit encoding state: the records
-// (commit record last), the class name of each, and one flat buffer every
-// object image of the batch is encoded into, so record framing stops
-// allocating per record. Commits run concurrently (they hold ckptMu only
-// shared), hence a sync.Pool rather than a Database field.
+// commitScratch is the reusable per-commit encoding state: the write set's
+// OIDs, the records (commit record last), the class name of each record
+// before it, and one flat buffer every object image of the batch is encoded
+// into, so record framing stops allocating per record. Commits run
+// concurrently (they hold ckptMu only shared), hence a sync.Pool rather than
+// a Database field.
 type commitScratch struct {
+	ids     []oid.OID
 	recs    []wal.Record
 	classes []string
 	buf     []byte
@@ -252,40 +255,53 @@ func (db *Database) logCommit(t *Tx, c *commitState) error {
 // pre-existing object, then the commit record. Images are encoded into the
 // pooled flat buffer; each record's Data is a capped sub-slice, so a later
 // realloc of the buffer cannot alias over it.
+//
+// The records come in write-set order, the same for every run of the same
+// transaction: __ClassDef images first, so a replica registers a class before
+// it decodes the instances the batch carries, then the rest by OID.
 func encodeWriteSet(db *Database, t *Tx) *commitScratch {
 	sc := commitScratchPool.Get().(*commitScratch)
-	recs, classes, buf := sc.recs[:0], sc.classes[:0], sc.buf[:0]
-	txid := uint64(t.inner.ID())
-	addUpdate := func(id oid.OID) {
-		o := db.objectByID(id)
-		if o == nil || !o.Class().Persistent {
-			return
-		}
-		start := len(buf)
-		buf = o.Encode(buf)
-		recs = append(recs, wal.Record{Type: wal.RecUpdate, Tx: txid, OID: id, Data: buf[start:len(buf):len(buf)]})
-		classes = append(classes, o.Class().Name)
-	}
+	ids, recs, classes, buf := sc.ids[:0], sc.recs[:0], sc.classes[:0], sc.buf[:0]
 	for id := range t.created {
 		if !t.deleted[id] {
-			addUpdate(id)
+			ids = append(ids, id)
 		}
 	}
 	for id := range t.dirty {
 		if !t.created[id] && !t.deleted[id] {
-			addUpdate(id)
+			ids = append(ids, id)
 		}
 	}
 	for id := range t.deleted {
 		if !t.created[id] {
-			recs = append(recs, wal.Record{Type: wal.RecDelete, Tx: txid, OID: id})
-			classes = append(classes, "")
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	txid := uint64(t.inner.ID())
+	for _, classDefs := range [2]bool{true, false} {
+		for _, id := range ids {
+			if t.deleted[id] {
+				if !classDefs {
+					recs = append(recs, wal.Record{Type: wal.RecDelete, Tx: txid, OID: id})
+					classes = append(classes, "")
+				}
+				continue
+			}
+			o := db.objectByID(id)
+			if o == nil || !o.Class().Persistent || (o.Class().Name == SysClassDefClass) != classDefs {
+				continue
+			}
+			start := len(buf)
+			buf = o.Encode(buf)
+			recs = append(recs, wal.Record{Type: wal.RecUpdate, Tx: txid, OID: id, Data: buf[start:len(buf):len(buf)]})
+			classes = append(classes, o.Class().Name)
 		}
 	}
 	if len(recs) > 0 {
 		recs = append(recs, wal.Record{Type: wal.RecCommit, Tx: txid})
 	}
-	sc.recs, sc.classes, sc.buf = recs, classes, buf
+	sc.ids, sc.recs, sc.classes, sc.buf = ids, recs, classes, buf
 	return sc
 }
 
@@ -297,7 +313,7 @@ func (sc *commitScratch) release() {
 		sc.recs[i].Data = nil
 	}
 	if cap(sc.recs) > maxCommitScratchRecs {
-		sc.recs, sc.classes = nil, nil
+		sc.ids, sc.recs, sc.classes = nil, nil, nil
 	}
 	if cap(sc.buf) > maxCommitScratchBytes {
 		sc.buf = nil
@@ -319,23 +335,15 @@ func (db *Database) applyCommit(c *commitState) {
 	if c.batch == nil {
 		return
 	}
-	for i, r := range c.batch.recs {
-		var err error
-		switch r.Type {
-		case wal.RecUpdate:
-			if err = db.store.Put(r.OID, r.Data); err == nil {
-				db.setHeapClass(r.OID, c.batch.classes[i])
-				db.dir.setDirty(r.OID, false)
-			}
-		case wal.RecDelete:
-			if err = db.store.Delete(r.OID); err == nil {
-				db.delHeapClass(r.OID)
-			}
-		}
-		if err != nil {
+	for i, cls := range c.batch.classes {
+		r := c.batch.recs[i]
+		if err := db.storeRecord(r, cls); err != nil {
 			err = fmt.Errorf("%w (object %s: %v)", ErrHeapBehind, r.OID, err)
 			db.heapBehind.CompareAndSwap(nil, &err)
 			return
+		}
+		if r.Type == wal.RecUpdate {
+			db.dir.setDirty(r.OID, false)
 		}
 	}
 }

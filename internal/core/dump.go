@@ -371,7 +371,7 @@ func (db *Database) RestoreDSL(src string) error {
 		for _, item := range script.Items {
 			switch it := item.(type) {
 			case *lang.ClassDecl:
-				if err := db.registerDSLClass(t, it, true); err != nil {
+				if err := db.registerDSLClass(t, it); err != nil {
 					return err
 				}
 			case *lang.EvolveDecl:

@@ -57,18 +57,8 @@ func (db *Database) CreateIndex(t *Tx, class, attr string) (*index.Hash, error) 
 	if err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	db.indexes[k] = h
-	db.indexObjs[k] = objID
-	db.indexByClass[class] = append(db.indexByClass[class], h)
-	db.mu.Unlock()
-	t.inner.OnUndo(func() {
-		db.mu.Lock()
-		delete(db.indexes, k)
-		delete(db.indexObjs, k)
-		db.indexByClass[class] = removeIndex(db.indexByClass[class], h)
-		db.mu.Unlock()
-	})
+	db.setIndex(k, h, objID)
+	t.inner.OnUndo(func() { db.setIndex(k, nil, 0) })
 	return h, nil
 }
 
@@ -85,19 +75,26 @@ func (db *Database) DropIndex(t *Tx, class, attr string) error {
 	if err := db.DeleteObject(t, objID); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	delete(db.indexes, k)
-	delete(db.indexObjs, k)
-	db.indexByClass[class] = removeIndex(db.indexByClass[class], h)
-	db.mu.Unlock()
-	t.inner.OnUndo(func() {
-		db.mu.Lock()
-		db.indexes[k] = h
-		db.indexObjs[k] = objID
-		db.indexByClass[class] = append(db.indexByClass[class], h)
-		db.mu.Unlock()
-	})
+	db.setIndex(k, nil, 0)
+	t.inner.OnUndo(func() { db.setIndex(k, h, objID) })
 	return nil
+}
+
+// setIndex makes h, backed by the __Index object id, the index on k,
+// replacing any index there; a nil h just removes it.
+func (db *Database) setIndex(k idxKey, h *index.Hash, id oid.OID) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if old := db.indexes[k]; old != nil {
+		delete(db.indexes, k)
+		delete(db.indexObjs, k)
+		db.indexByClass[k.class] = removeIndex(db.indexByClass[k.class], old)
+	}
+	if h != nil {
+		db.indexes[k] = h
+		db.indexObjs[k] = id
+		db.indexByClass[k.class] = append(db.indexByClass[k.class], h)
+	}
 }
 
 // Index returns the live index on class.attr (nil if absent).
@@ -151,63 +148,59 @@ func (db *Database) indexWrite(t *Tx, o *object.Object, attr string, oldV, newV 
 	})
 }
 
-// indexObjectAdd indexes a freshly created object in every covering index.
+// indexObjectAdd indexes a freshly created object in every covering index
+// and arms the undo.
 func (db *Database) indexObjectAdd(t *Tx, o *object.Object) {
-	cls := o.Class()
-	id := o.ID()
-	db.mu.RLock()
-	var pairs []*index.Hash
-	for _, k := range cls.MRO() {
-		pairs = append(pairs, db.indexByClass[k.Name]...)
+	if db.reindex(o.ID(), nil, o) {
+		t.inner.OnUndo(func() { db.reindex(o.ID(), o, nil) })
 	}
-	db.mu.RUnlock()
-	if len(pairs) == 0 {
-		return
-	}
-	for _, h := range pairs {
-		if a := cls.AttributeNamed(h.Attr()); a != nil {
-			h.Add(id, o.GetSlot(a.Slot()))
-		}
-	}
-	t.inner.OnUndo(func() {
-		for _, h := range pairs {
-			if a := cls.AttributeNamed(h.Attr()); a != nil {
-				h.Remove(id, o.GetSlot(a.Slot()))
-			}
-		}
-	})
 }
 
-// indexObjectRemove drops a deleted object from every covering index.
+// indexObjectRemove drops a deleted object from every covering index and
+// arms the undo.
 func (db *Database) indexObjectRemove(t *Tx, o *object.Object) {
-	cls := o.Class()
-	id := o.ID()
+	if db.reindex(o.ID(), o, nil) {
+		t.inner.OnUndo(func() { db.reindex(o.ID(), nil, o) })
+	}
+}
+
+// reindex carries id's entries in the secondary indexes from one image to
+// another, either of which may be nil (a create, a delete), and reports
+// whether any index covers either. A replicated write passes its prior and
+// new committed images.
+func (db *Database) reindex(id oid.OID, prev, o *object.Object) (touched bool) {
 	db.mu.RLock()
-	var pairs []*index.Hash
-	for _, k := range cls.MRO() {
-		pairs = append(pairs, db.indexByClass[k.Name]...)
+	defer db.mu.RUnlock()
+	for _, h := range db.indexes {
+		oldV, had := indexedValue(prev, h)
+		newV, has := indexedValue(o, h)
+		switch {
+		case had && has:
+			h.Move(id, oldV, newV)
+		case had:
+			h.Remove(id, oldV)
+		case has:
+			h.Add(id, newV)
+		}
+		touched = touched || had || has
 	}
-	db.mu.RUnlock()
-	if len(pairs) == 0 {
-		return
+	return touched
+}
+
+// indexedValue returns o's value of h's attribute when h covers o.
+func indexedValue(o *object.Object, h *index.Hash) (value.Value, bool) {
+	if o == nil {
+		return value.Nil, false
 	}
-	type saved struct {
-		h *index.Hash
-		v value.Value
-	}
-	var snaps []saved
-	for _, h := range pairs {
-		if a := cls.AttributeNamed(h.Attr()); a != nil {
-			v := o.GetSlot(a.Slot())
-			h.Remove(id, v)
-			snaps = append(snaps, saved{h, v})
+	for _, k := range o.Class().MRO() {
+		if k.Name == h.Class() {
+			if a := o.Class().AttributeNamed(h.Attr()); a != nil {
+				return o.GetSlot(a.Slot()), true
+			}
+			break
 		}
 	}
-	t.inner.OnUndo(func() {
-		for _, s := range snaps {
-			s.h.Add(id, s.v)
-		}
-	})
+	return value.Nil, false
 }
 
 // LookupByAttr returns the OIDs of instances of class (or subclasses) whose

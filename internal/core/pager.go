@@ -15,6 +15,7 @@ import (
 	"sentinel/internal/object"
 	"sentinel/internal/obs"
 	"sentinel/internal/oid"
+	"sentinel/internal/wal"
 )
 
 // faultObject returns the live object for id: a directory hit, or a decode
@@ -144,6 +145,24 @@ func (db *Database) pagingEnabled() bool {
 }
 
 // ---- heap-class catalog ----
+
+// storeRecord writes one committed update (an image of class cls) or delete
+// to the heap and the heap-class catalog: the step the primary's commit and
+// the replica's apply share.
+func (db *Database) storeRecord(r wal.Record, cls string) error {
+	if r.Type == wal.RecDelete {
+		if err := db.store.Delete(r.OID); err != nil {
+			return err
+		}
+		db.delHeapClass(r.OID)
+		return nil
+	}
+	if err := db.store.Put(r.OID, r.Data); err != nil {
+		return err
+	}
+	db.setHeapClass(r.OID, cls)
+	return nil
+}
 
 // setHeapClass records that the heap now holds an instance of cls at id.
 func (db *Database) setHeapClass(id oid.OID, cls string) {

@@ -233,44 +233,22 @@ func (db *Database) loadSystemObjects() error {
 			db.dir.insert(id, o, 0, false, true, 0)
 		}
 	}
+	load := func(cls string) error {
+		for _, id := range byClass[cls] {
+			if err := catalogLoaders[cls].load(db, sysObjs[id], nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
-	// Pass 2: replay DSL class definitions (ordered by seq) so application
-	// instances can decode. The replay transaction only registers classes;
-	// nothing is re-persisted.
-	type defEntry struct {
-		seq    int64
-		name   string
-		source string
-	}
-	var entries []defEntry
-	for _, id := range byClass[SysClassDefClass] {
-		o := sysObjs[id]
-		name, _ := mustGet(o, "name").AsString()
-		src, _ := mustGet(o, "source").AsString()
-		seq, _ := mustGet(o, "seq").AsInt()
-		entries = append(entries, defEntry{seq: seq, name: name, source: src})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-	if len(entries) > 0 {
-		t := db.Begin()
-		for _, e := range entries {
-			script, err := lang.ParseScript(e.source, db.eventResolver())
-			if err != nil {
-				return fmt.Errorf("core: replaying class %s: %w", e.name, err)
-			}
-			for _, item := range script.Items {
-				cd, ok := item.(*lang.ClassDecl)
-				if !ok {
-					return fmt.Errorf("core: catalog entry for class %s contains a non-class item", e.name)
-				}
-				if err := db.registerDSLClass(t, cd, false); err != nil {
-					return fmt.Errorf("core: replaying class %s: %w", e.name, err)
-				}
-			}
-		}
-		if err := db.Commit(t); err != nil {
-			return err
-		}
+	// Pass 2: DSL class definitions, in definition order (seq), so
+	// application instances can decode.
+	defs := byClass[SysClassDefClass]
+	seq := func(i int) int64 { s, _ := mustGet(sysObjs[defs[i]], "seq").AsInt(); return s }
+	sort.Slice(defs, func(i, j int) bool { return seq(i) < seq(j) })
+	if err := load(SysClassDefClass); err != nil {
+		return err
 	}
 
 	// Pass 3: fail fast on unregistered classes. The old eager open failed
@@ -290,17 +268,8 @@ func (db *Database) loadSystemObjects() error {
 	}
 
 	// Pass 4: named events (before rules, which may reference them).
-	for _, id := range byClass[SysEventClass] {
-		o := sysObjs[id]
-		name, _ := mustGet(o, "name").AsString()
-		src, _ := mustGet(o, "source").AsString()
-		e, err := db.ParseEvent(src)
-		if err != nil {
-			return fmt.Errorf("core: rebuilding event %q: %w", name, err)
-		}
-		e.SetID(id)
-		db.namedEvents[name] = e
-		db.eventObjs[name] = id
+	if err := load(SysEventClass); err != nil {
+		return err
 	}
 
 	// Pass 5: rules.
@@ -319,45 +288,193 @@ func (db *Database) loadSystemObjects() error {
 		db.subObjs[subKey{reactive, consumer}] = id
 	}
 
-	// Pass 7: name bindings.
-	for _, id := range byClass[SysNameClass] {
-		o := sysObjs[id]
-		name, _ := mustGet(o, "name").AsString()
-		target, _ := mustGet(o, "target").AsRef()
-		db.names[name] = target
-		db.nameObjs[name] = id
+	// Passes 7 and 8: name bindings, then secondary indexes.
+	if err := load(SysNameClass); err != nil {
+		return err
 	}
+	return load(SysIndexClass)
+}
 
-	// Pass 8: secondary indexes, rebuilt from the directory ∪ heap
-	// population. Cold instances are decoded transiently — the rebuild
-	// needs their key values, not their residency.
-	for _, id := range byClass[SysIndexClass] {
-		o := sysObjs[id]
-		clsName, _ := mustGet(o, "class").AsString()
-		attr, _ := mustGet(o, "attr").AsString()
-		cls := db.reg.Lookup(clsName)
-		if cls == nil {
-			return fmt.Errorf("core: index catalog references unknown class %q", clsName)
+// catalogLoader turns the committed objects of one system class into runtime
+// state (load) and takes one back out (drop). Open (loadSystemObjects) and
+// the replica apply (applyCatalog) share the table, so a catalog object lands
+// the same way whether it was read at open or shipped. prev is the committed
+// image load replaces: nil at open and on a create.
+//
+// __Rule and __Subscription have no row: they load at open only. A replica
+// never fires rules, and promoting one reopens it.
+type catalogLoader struct {
+	load func(db *Database, o, prev *object.Object) error
+	drop func(db *Database, o *object.Object)
+}
+
+var catalogLoaders = map[string]catalogLoader{
+	SysClassDefClass: {load: (*Database).loadClassDef},
+	SysEventClass:    {load: (*Database).loadEvent, drop: (*Database).dropEvent},
+	SysNameClass:     {load: (*Database).loadName, drop: (*Database).dropName},
+	SysIndexClass:    {load: (*Database).loadIndex, drop: (*Database).dropIndex},
+}
+
+// applyCatalog moves a replicated object's catalog state from its prior
+// committed image to its new one (either may be nil).
+func (db *Database) applyCatalog(o, prev *object.Object) error {
+	if prev != nil && (o == nil || o.Class() != prev.Class()) {
+		if drop := catalogLoaders[prev.Class().Name].drop; drop != nil {
+			drop(db, prev)
 		}
-		h := index.NewHash(clsName, attr)
-		err := db.forEachLiveObject(func(id oid.OID, obj *object.Object) error {
-			if !obj.Class().IsSubclassOf(cls) {
-				return nil
-			}
-			if a := obj.Class().AttributeNamed(attr); a != nil {
-				h.Add(id, obj.GetSlot(a.Slot()))
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		k := idxKey{clsName, attr}
-		db.indexes[k] = h
-		db.indexObjs[k] = id
-		db.indexByClass[clsName] = append(db.indexByClass[clsName], h)
+		prev = nil
+	}
+	if o == nil {
+		return nil
+	}
+	if load := catalogLoaders[o.Class().Name].load; load != nil {
+		return load(db, o, prev)
 	}
 	return nil
+}
+
+// loadClassDef registers the DSL class a __ClassDef carries; at open, a
+// class Options.Schema already registered is an error. On a live replica a
+// definition whose source differs from prev's replaces the registered class
+// (a shipped `evolve class`), and a registered class is otherwise left
+// alone, so applying a definition twice is harmless.
+func (db *Database) loadClassDef(o, prev *object.Object) error {
+	name, _ := mustGet(o, "name").AsString()
+	src, _ := mustGet(o, "source").AsString()
+	seq, _ := mustGet(o, "seq").AsInt()
+	db.mu.Lock()
+	db.dslClassSeq = max(db.dslClassSeq, int(seq))
+	db.mu.Unlock()
+	evolve := db.ready && db.reg.Lookup(name) != nil
+	if evolve && (prev == nil || mustGet(prev, "source").Equal(value.Str(src))) {
+		return nil
+	}
+	script, err := lang.ParseScript(src, db.eventResolver())
+	if err != nil {
+		return fmt.Errorf("core: class %s: %w", name, err)
+	}
+	for _, item := range script.Items {
+		cd, ok := item.(*lang.ClassDecl)
+		if !ok {
+			return fmt.Errorf("core: class %s: definition contains a non-class item", name)
+		}
+		c, err := db.buildDSLClass(cd)
+		if err != nil {
+			return fmt.Errorf("core: class %s: %w", name, err)
+		}
+		if !evolve {
+			err = db.reg.Register(c)
+		} else {
+			// Images decode by slot position, so every instance is faulted in
+			// under the old layout first and held (dirty, hence resident)
+			// until this batch installs its migrated image: older snapshots
+			// and the covering indexes read that prior image.
+			for _, id := range db.InstancesOf(c.Name) {
+				if _, err := db.faultObject(id); err != nil {
+					return err
+				}
+				db.dir.setDirty(id, true)
+			}
+			_, err = db.reg.Replace(c)
+		}
+		if err != nil {
+			return fmt.Errorf("core: class %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+func (db *Database) loadEvent(o, _ *object.Object) error {
+	name, _ := mustGet(o, "name").AsString()
+	src, _ := mustGet(o, "source").AsString()
+	e, err := db.ParseEvent(src)
+	if err != nil {
+		return fmt.Errorf("core: rebuilding event %q: %w", name, err)
+	}
+	e.SetID(o.ID())
+	db.mu.Lock()
+	db.namedEvents[name] = e
+	db.eventObjs[name] = o.ID()
+	db.mu.Unlock()
+	return nil
+}
+
+func (db *Database) dropEvent(o *object.Object) {
+	name, _ := mustGet(o, "name").AsString()
+	db.mu.Lock()
+	if db.eventObjs[name] == o.ID() {
+		delete(db.namedEvents, name)
+		delete(db.eventObjs, name)
+	}
+	db.mu.Unlock()
+}
+
+func (db *Database) loadName(o, _ *object.Object) error {
+	name, _ := mustGet(o, "name").AsString()
+	target, _ := mustGet(o, "target").AsRef()
+	db.mu.Lock()
+	db.names[name] = target
+	db.nameObjs[name] = o.ID()
+	db.mu.Unlock()
+	return nil
+}
+
+func (db *Database) dropName(o *object.Object) {
+	name, _ := mustGet(o, "name").AsString()
+	db.mu.Lock()
+	if db.nameObjs[name] == o.ID() {
+		delete(db.names, name)
+		delete(db.nameObjs, name)
+	}
+	db.mu.Unlock()
+}
+
+// loadIndex builds the index an __Index object declares from the directory ∪
+// heap population. Cold instances are decoded transiently — the build needs
+// their key values, not their residency.
+func (db *Database) loadIndex(o, _ *object.Object) error {
+	k := indexKeyOf(o)
+	db.mu.RLock()
+	cur := db.indexObjs[k]
+	db.mu.RUnlock()
+	if cur == o.ID() {
+		return nil
+	}
+	cls := db.reg.Lookup(k.class)
+	if cls == nil {
+		return fmt.Errorf("core: index catalog references unknown class %q", k.class)
+	}
+	h := index.NewHash(k.class, k.attr)
+	err := db.forEachLiveObject(func(id oid.OID, obj *object.Object) error {
+		if !obj.Class().IsSubclassOf(cls) {
+			return nil
+		}
+		if a := obj.Class().AttributeNamed(k.attr); a != nil {
+			h.Add(id, obj.GetSlot(a.Slot()))
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	db.setIndex(k, h, o.ID())
+	return nil
+}
+
+func (db *Database) dropIndex(o *object.Object) {
+	k := indexKeyOf(o)
+	db.mu.RLock()
+	cur := db.indexObjs[k]
+	db.mu.RUnlock()
+	if cur == o.ID() {
+		db.setIndex(k, nil, 0)
+	}
+}
+
+func indexKeyOf(o *object.Object) idxKey {
+	cls, _ := mustGet(o, "class").AsString()
+	attr, _ := mustGet(o, "attr").AsString()
+	return idxKey{cls, attr}
 }
 
 // rebuildRule reconstructs the runtime rule from its persistent __Rule

@@ -17,7 +17,8 @@ package core
 //     ApplyReplicated, which WAL-logs the batch locally (so its own recovery
 //     reproduces the applied prefix up to the fsync floor), installs the
 //     images through the directory with full MVCC versioning (snapshot
-//     readers older than the batch keep their view), and fans the shipped
+//     readers older than the batch keep their view), keeps the catalogs and
+//     secondary indexes current, and fans the shipped
 //     occurrences out to local sink subscribers. Delivery to followers is
 //     therefore at-least-once across follower crashes: batches between the
 //     fsync floor and the crash point are re-shipped and re-delivered.
@@ -28,14 +29,17 @@ package core
 // see the same occurrence stream primary-side subscribers do.
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"sentinel/internal/event"
-	"sentinel/internal/lang"
 	"sentinel/internal/object"
 	"sentinel/internal/oid"
+	"sentinel/internal/value"
 	"sentinel/internal/wal"
 )
 
@@ -204,12 +208,13 @@ func (db *Database) ReplBaseState() (*ReplBaseState, error) {
 // ApplyBaseState installs a full primary base state on a live replica: every
 // image in objs becomes the object's committed state, local committed
 // objects absent from the base state are deleted, and the replication LSN
-// jumps to lsn. Runs through the same MVCC machinery as ApplyReplicated, so
-// snapshot readers begun before the install keep their pre-install view.
-// The install bypasses the WAL (logging a full base copy would defeat the
-// point of syncing); the trailing Checkpoint makes it durable and stamps
-// the new LSN into the heap meta. A crash mid-install leaves a torn heap
-// with a stale checkpoint LSN — the next handshake detects the stale
+// jumps to lsn. The images and deletes form one batch in write-set order,
+// applied by applyBatch like a shipped one, so snapshot readers begun before
+// the install keep their pre-install view and the catalogs and indexes
+// follow. The install bypasses the WAL (logging a full base copy would
+// defeat the point of syncing); the trailing Checkpoint makes it durable and
+// stamps the new LSN into the heap meta. A crash mid-install leaves a torn
+// heap with a stale checkpoint LSN — the next handshake detects the stale
 // position (or the epoch mismatch) and re-syncs, and full-image redo is
 // idempotent, so the tear never survives contact with the primary.
 func (db *Database) ApplyBaseState(lsn uint64, objs []ReplBaseObject) error {
@@ -219,74 +224,53 @@ func (db *Database) ApplyBaseState(lsn uint64, objs []ReplBaseObject) error {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
 
-	// Class definitions first: the base state may carry instances of classes
-	// this replica has never seen.
-	for _, o := range objs {
-		if cls, err := object.PeekClass(o.Img); err == nil && cls == SysClassDefClass {
-			if err := db.applyReplClassDef(o.ID, o.Img); err != nil {
-				return err
-			}
-		}
-	}
-
-	db.ckptMu.RLock()
-	c := db.lsn.begin()
-	w := db.watermark()
+	recs := make([]wal.Record, 0, len(objs))
 	keep := make(map[oid.OID]bool, len(objs))
-	var applyErr error
 	for _, o := range objs {
 		keep[o.ID] = true
-		if applyErr = db.applyReplUpdate(o.ID, o.Img, c, w); applyErr != nil {
-			break
+		recs = append(recs, wal.Record{Type: wal.RecUpdate, OID: o.ID, Data: o.Img})
+	}
+	db.catMu.RLock()
+	for id := range db.heapCat {
+		if !keep[id] {
+			recs = append(recs, wal.Record{Type: wal.RecDelete, OID: id})
 		}
 	}
-	var stale []oid.OID
-	if applyErr == nil {
-		db.catMu.RLock()
-		for id := range db.heapCat {
-			if !keep[id] {
-				stale = append(stale, id)
+	db.catMu.RUnlock()
+	classDef := value.AppendValue(nil, value.Str(SysClassDefClass)) // every __ClassDef image starts so
+	slices.SortFunc(recs, func(a, b wal.Record) int {
+		if ca, cb := bytes.HasPrefix(a.Data, classDef), bytes.HasPrefix(b.Data, classDef); ca != cb {
+			if ca {
+				return -1
 			}
+			return 1
 		}
-		db.catMu.RUnlock()
-		for _, id := range stale {
-			if applyErr = db.applyReplDelete(id, c); applyErr != nil {
-				break
-			}
-		}
-	}
-	db.lsn.end(c)
-	db.ckptMu.RUnlock()
-	if applyErr != nil {
-		return applyErr
-	}
+		return cmp.Compare(a.OID, b.OID)
+	})
 
+	db.ckptMu.RLock()
+	err := db.applyBatch(recs)
+	db.ckptMu.RUnlock()
+	if err != nil {
+		return err
+	}
 	db.replMu.Lock()
 	db.replLSN = lsn
 	db.replMu.Unlock()
-
-	dw := db.watermark()
-	for _, id := range stale {
-		db.dir.dropDeleted(id, dw)
-	}
 	// The heap was replaced wholesale — OIDs may now name objects of
 	// different classes. Recovery-style global fallback rather than
 	// per-key scopes.
 	db.applyConsumerInvalidation(scopeAll())
-	db.maybeSweepChains()
-	db.maybeEvict()
 	return db.Checkpoint()
 }
 
 // ApplyReplicated applies shipped batches on a replica, in order. Each run
 // of data batches is WAL-logged with one write and one fsync (the follower's
 // own recovery then reproduces the applied prefix up to its fsync floor);
-// then every batch of the run installs its images through the directory with
-// MVCC versioning at its own commit LSN, the catalogs a follower needs for
-// decoding and lookups are refreshed (__ClassDef registrations, __Name
-// bindings), the applied LSN moves to the run's last batch, and the run's
-// occurrences fan out to local sink subscribers batch by batch. An
-// event-only batch (LSN 0) only fans out, and ends a run.
+// then applyBatch installs every batch of the run at its own commit LSN, the
+// applied LSN moves to the run's last batch, and the run's occurrences fan
+// out to local sink subscribers batch by batch. An event-only batch (LSN 0)
+// only fans out, and ends a run.
 //
 // Batches must arrive in LSN order with no gaps; a gap applies the batches
 // before it and returns an error, and the caller (internal/repl's follower
@@ -335,25 +319,11 @@ func (db *Database) applyRun(run []ReplBatch) error {
 	if len(run) == 0 {
 		return gap
 	}
-
-	// Register any DSL classes the run defines before decoding anything: a
-	// batch may create a class and instances of it, and a commit emits its
-	// records in arbitrary write-set order.
 	recs := run[0].Recs
 	if len(run) > 1 {
 		recs = nil
 		for _, b := range run {
 			recs = append(recs, b.Recs...)
-		}
-	}
-	for _, r := range recs {
-		if r.Type != wal.RecUpdate {
-			continue
-		}
-		if cls, err := object.PeekClass(r.Data); err == nil && cls == SysClassDefClass {
-			if err := db.applyReplClassDef(r.OID, r.Data); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -364,27 +334,9 @@ func (db *Database) applyRun(run []ReplBatch) error {
 		db.ckptMu.RUnlock()
 		return err
 	}
-	var deleted []oid.OID
 	applied, applyErr := 0, error(nil)
 	for _, b := range run {
-		c := db.lsn.begin()
-		w := db.watermark()
-		kept := len(deleted)
-		for _, r := range b.Recs {
-			switch r.Type {
-			case wal.RecUpdate:
-				applyErr = db.applyReplUpdate(r.OID, r.Data, c, w)
-			case wal.RecDelete:
-				applyErr = db.applyReplDelete(r.OID, c)
-				deleted = append(deleted, r.OID)
-			}
-			if applyErr != nil {
-				break
-			}
-		}
-		db.lsn.end(c)
-		if applyErr != nil {
-			deleted = deleted[:kept]
+		if applyErr = db.applyBatch(b.Recs); applyErr != nil {
 			break
 		}
 		applied++
@@ -401,134 +353,81 @@ func (db *Database) applyRun(run []ReplBatch) error {
 			db.fanoutReplicated(b.Occs)
 		}
 	}
-	if len(deleted) > 0 {
-		dw := db.watermark()
-		for _, id := range deleted {
-			db.dir.dropDeleted(id, dw)
-		}
-	}
 	if applyErr != nil {
 		return applyErr
 	}
-	db.maybeSweepChains()
 	db.maybeAutoCheckpoint()
-	db.maybeEvict()
 	return gap
 }
 
-// applyReplClassDef replays a shipped __ClassDef so subsequent images of
-// the class decode. Registration is idempotent (a re-shipped batch after a
-// resume sees the class already present).
-func (db *Database) applyReplClassDef(id oid.OID, img []byte) error {
-	o, err := object.Decode(id, img, db.reg)
-	if err != nil {
-		return fmt.Errorf("core: replicated class def %s: %w", id, err)
-	}
-	name, _ := mustGet(o, "name").AsString()
-	src, _ := mustGet(o, "source").AsString()
-	seq, _ := mustGet(o, "seq").AsInt()
-	if db.reg.Lookup(name) != nil {
-		return nil
-	}
-	script, err := lang.ParseScript(src, db.eventResolver())
-	if err != nil {
-		return fmt.Errorf("core: replicated class %s: %w", name, err)
-	}
-	t := db.Begin()
-	defer db.Abort(t) // registration writes nothing; Abort is a no-op cleanup
-	for _, item := range script.Items {
-		cd, ok := item.(*lang.ClassDecl)
-		if !ok {
-			return fmt.Errorf("core: replicated class %s: definition contains a non-class item", name)
+// applyBatch installs one batch of replicated records, in write-set order, at
+// a fresh MVCC commit LSN. It is the replica's only apply path: ApplyReplicated
+// runs it once per shipped batch, ApplyBaseState once over a whole base image.
+// Afterwards the batch's committed deletes, dead versions and excess residents
+// are reclaimed. Caller holds applyMu and ckptMu shared.
+func (db *Database) applyBatch(recs []wal.Record) error {
+	c := db.lsn.begin()
+	w := db.watermark()
+	var deleted []oid.OID
+	var err error
+	for _, r := range recs {
+		if r.Type != wal.RecUpdate && r.Type != wal.RecDelete {
+			continue
 		}
-		if err := db.registerDSLClass(t, cd, false); err != nil {
-			return fmt.Errorf("core: replicated class %s: %w", name, err)
+		if err = db.applyRecord(r, c, w); err != nil {
+			break
+		}
+		if r.Type == wal.RecDelete {
+			deleted = append(deleted, r.OID)
 		}
 	}
-	db.mu.Lock()
-	if int(seq) > db.dslClassSeq {
-		db.dslClassSeq = int(seq)
-	}
-	db.mu.Unlock()
-	return nil
-}
-
-// applyReplUpdate installs one replicated object image at commit LSN c.
-// The previous committed image (resident or on the heap) is archived into
-// the entry's version chain first, so snapshot readers older than c keep
-// their view even though the heap image is overwritten.
-func (db *Database) applyReplUpdate(id oid.OID, img []byte, c, w uint64) error {
-	o, err := object.Decode(id, img, db.reg)
+	db.lsn.end(c)
 	if err != nil {
-		return fmt.Errorf("core: replicated object %s: %w", id, err)
-	}
-	// Fault the prior committed image in before the heap forgets it: a
-	// non-resident object's only pre-batch state is its heap image, and an
-	// older snapshot reading it later must not fall through to the new one.
-	if _, err := db.faultObject(id); err != nil {
-		return fmt.Errorf("core: replicated object %s: prior image: %w", id, err)
-	}
-	db.dir.applyCommitted(id, o, c, w)
-	if err := db.store.Put(id, img); err != nil {
 		return err
 	}
-	cls := o.Class().Name
-	db.setHeapClass(id, cls)
-	switch cls {
-	case SysNameClass:
-		name, _ := mustGet(o, "name").AsString()
-		target, _ := mustGet(o, "target").AsRef()
-		db.mu.Lock()
-		db.names[name] = target
-		db.nameObjs[name] = id
-		db.mu.Unlock()
-	case SysEventClass:
-		name, _ := mustGet(o, "name").AsString()
-		src, _ := mustGet(o, "source").AsString()
-		if e, err := db.ParseEvent(src); err == nil {
-			e.SetID(id)
-			db.mu.Lock()
-			db.namedEvents[name] = e
-			db.eventObjs[name] = id
-			db.mu.Unlock()
-		}
+	dw := db.watermark()
+	for _, id := range deleted {
+		db.dir.dropDeleted(id, dw)
 	}
+	db.maybeSweepChains()
+	db.maybeEvict()
 	return nil
 }
 
-// applyReplDelete applies one replicated delete at commit LSN c, keeping
-// the doomed image readable for snapshots older than c.
-func (db *Database) applyReplDelete(id oid.OID, c uint64) error {
-	if o, err := db.faultObject(id); err != nil {
-		return fmt.Errorf("core: replicated delete %s: prior image: %w", id, err)
-	} else if o != nil {
-		db.dir.setTomb(id, true)
-		db.dir.commitDelete(id, c)
-	}
-	if cls, ok := db.heapClassOf(id); ok && cls == SysNameClass {
-		db.mu.Lock()
-		for name, objID := range db.nameObjs {
-			if objID == id {
-				delete(db.names, name)
-				delete(db.nameObjs, name)
-				break
-			}
+// applyRecord applies one replicated update or delete at commit LSN c. The
+// prior committed image is faulted in before the heap forgets it — a
+// non-resident object's only pre-batch state is its heap image — and is
+// archived into the entry's version chain, so snapshot readers older than c
+// keep their view. The same prior image tells the covering secondary indexes
+// and the system object's catalog loader what the record replaces.
+func (db *Database) applyRecord(r wal.Record, c, w uint64) error {
+	var o *object.Object
+	if r.Type == wal.RecUpdate {
+		var err error
+		if o, err = object.Decode(r.OID, r.Data, db.reg); err != nil {
+			return fmt.Errorf("core: replicated object %s: %w", r.OID, err)
 		}
-		db.mu.Unlock()
 	}
-	if err := db.store.Delete(id); err != nil {
+	prev, err := db.faultObject(r.OID)
+	if err != nil {
+		return fmt.Errorf("core: replicated object %s: prior image: %w", r.OID, err)
+	}
+	// Follow the primary's OID high-water: once promoted, the replica must
+	// not reissue an OID the primary handed out, even one deleted since.
+	db.alloc.Advance(r.OID)
+	cls := ""
+	if o != nil {
+		db.dir.applyCommitted(r.OID, o, c, w)
+		cls = o.Class().Name
+	} else if prev != nil {
+		db.dir.setTomb(r.OID, true)
+		db.dir.commitDelete(r.OID, c)
+	}
+	if err := db.storeRecord(r, cls); err != nil {
 		return err
 	}
-	db.delHeapClass(id)
-	return nil
-}
-
-// heapClassOf reads the heap-class catalog entry for id.
-func (db *Database) heapClassOf(id oid.OID) (string, bool) {
-	db.catMu.RLock()
-	cls, ok := db.heapCat[id]
-	db.catMu.RUnlock()
-	return cls, ok
+	db.reindex(r.OID, prev, o)
+	return db.applyCatalog(o, prev)
 }
 
 // fanoutReplicated delivers shipped occurrences to local sink subscribers:

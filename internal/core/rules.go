@@ -618,17 +618,9 @@ func (db *Database) Bind(t *Tx, name string, target oid.OID) error {
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
-	db.names[name] = target
-	db.nameObjs[name] = id
-	db.mu.Unlock()
-	t.inner.OnUndo(func() {
-		db.mu.Lock()
-		delete(db.names, name)
-		delete(db.nameObjs, name)
-		db.mu.Unlock()
-	})
-	return nil
+	o := db.objectByID(id)
+	t.inner.OnUndo(func() { db.dropName(o) })
+	return db.loadName(o, nil)
 }
 
 // Lookup resolves a bound name.

@@ -29,7 +29,7 @@ func (db *Database) ExecScript(t *Tx, src string) error {
 	for _, item := range script.Items {
 		switch it := item.(type) {
 		case *lang.ClassDecl:
-			if err := db.registerDSLClass(t, it, true); err != nil {
+			if err := db.registerDSLClass(t, it); err != nil {
 				return err
 			}
 		case *lang.EvolveDecl:
@@ -114,10 +114,6 @@ func specFromDecl(d *lang.RuleDecl, classLevel string) RuleSpec {
 	return spec
 }
 
-// registerDSLClass materializes a SentinelQL class definition as a runtime
-// class with interpreted method bodies, wires up its class-level rules, and
-// (when persist is true) stores the definition source as a __ClassDef
-// object so reopening the database replays it.
 // buildDSLClass constructs an unregistered runtime class from a parsed
 // declaration, with interpreted method bodies.
 func (db *Database) buildDSLClass(d *lang.ClassDecl) (*schema.Class, error) {
@@ -177,7 +173,11 @@ func (db *Database) buildDSLClass(d *lang.ClassDecl) (*schema.Class, error) {
 	return c, nil
 }
 
-func (db *Database) registerDSLClass(t *Tx, d *lang.ClassDecl, persist bool) error {
+// registerDSLClass materializes a SentinelQL class definition as a runtime
+// class with interpreted method bodies, creates its class-level rules, and
+// stores the definition source as a __ClassDef object, which reopening the
+// database (and a replica) load through loadClassDef.
+func (db *Database) registerDSLClass(t *Tx, d *lang.ClassDecl) error {
 	c, err := db.buildDSLClass(d)
 	if err != nil {
 		return err
@@ -185,29 +185,20 @@ func (db *Database) registerDSLClass(t *Tx, d *lang.ClassDecl, persist bool) err
 	if err := db.reg.Register(c); err != nil {
 		return err
 	}
-	// When persist is false we are replaying the catalog on open: the
-	// class-level rules were persisted as __Rule objects and are rebuilt
-	// from those, so they must not be instantiated twice.
-	if persist {
-		for i := range d.Rules {
-			rd := &d.Rules[i]
-			if _, err := db.CreateRule(t, specFromDecl(rd, c.Name)); err != nil {
-				return fmt.Errorf("core: class %s rule %s: %w", c.Name, rd.Name, err)
-			}
+	for i := range d.Rules {
+		rd := &d.Rules[i]
+		if _, err := db.CreateRule(t, specFromDecl(rd, c.Name)); err != nil {
+			return fmt.Errorf("core: class %s rule %s: %w", c.Name, rd.Name, err)
 		}
 	}
-	if persist {
-		db.mu.Lock()
-		db.dslClassSeq++
-		seq := db.dslClassSeq
-		db.mu.Unlock()
-		if _, err := db.NewObject(t, SysClassDefClass, map[string]value.Value{
-			"name":   value.Str(d.Name),
-			"source": value.Str(d.Source),
-			"seq":    value.Int(int64(seq)),
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	db.mu.Lock()
+	db.dslClassSeq++
+	seq := db.dslClassSeq
+	db.mu.Unlock()
+	_, err = db.NewObject(t, SysClassDefClass, map[string]value.Value{
+		"name":   value.Str(d.Name),
+		"source": value.Str(d.Source),
+		"seq":    value.Int(int64(seq)),
+	})
+	return err
 }

@@ -231,31 +231,6 @@ func (s *Store) Delete(id oid.OID) error {
 	return nil
 }
 
-// ForEach calls fn for every live object, in ascending OID order. The image
-// passed to fn is a copy.
-func (s *Store) ForEach(fn func(id oid.OID, img []byte) error) error {
-	s.mu.Lock()
-	ids := make([]oid.OID, 0, len(s.table))
-	for id := range s.table {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		img, ok, err := s.Get(id)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := fn(id, img); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Scan calls fn for every live object, page by page in page order: one pin
 // per page, however many records it holds. fn receives a view into a private
 // copy of the page, valid only for the duration of the call; it must not

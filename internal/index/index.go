@@ -113,6 +113,18 @@ func (h *Hash) Lookup(v value.Value) []oid.OID {
 	return append([]oid.OID(nil), lst...)
 }
 
+// Buckets returns a copy of the contents: each distinct indexed value, by its
+// canonical bucket key, with its OIDs in insertion order.
+func (h *Hash) Buckets() map[string][]oid.OID {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	out := make(map[string][]oid.OID, len(h.buckets))
+	for k, ids := range h.buckets {
+		out[k] = append([]oid.OID(nil), ids...)
+	}
+	return out
+}
+
 // Distinct returns the number of distinct indexed values.
 func (h *Hash) Distinct() int {
 	h.mu.RLock()

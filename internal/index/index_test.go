@@ -93,6 +93,23 @@ func TestLookupReturnsCopy(t *testing.T) {
 	}
 }
 
+func TestBucketsCopyContents(t *testing.T) {
+	h := NewHash("C", "a")
+	h.Add(1, value.Int(3))
+	h.Add(2, value.Float(3))
+	h.Add(3, value.Str("3"))
+	b := h.Buckets()
+	if len(b) != 2 {
+		t.Fatalf("want 2 buckets (3 and 3.0 share one), got %v", b)
+	}
+	for _, ids := range b {
+		ids[0] = 999
+	}
+	if got := h.Lookup(value.Int(3)); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("Buckets result aliases internal state: %v", got)
+	}
+}
+
 func TestStringRendering(t *testing.T) {
 	h := NewHash("Emp", "name")
 	h.Add(1, value.Str("x"))

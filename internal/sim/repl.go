@@ -33,6 +33,7 @@ import (
 	"sentinel/internal/event"
 	"sentinel/internal/oid"
 	"sentinel/internal/repl"
+	"sentinel/internal/value"
 	"sentinel/internal/vfs"
 	"sentinel/internal/wal"
 	"sentinel/internal/wire"
@@ -56,16 +57,33 @@ type replStep struct {
 	deleteName string
 }
 
+// replEvolve adds an attribute in front of val, so every instance's layout
+// shifts: a replica has to migrate them live, indexes included.
+const replEvolve = `
+	evolve class Item reactive persistent {
+		attr note string = "v2"
+		attr val int
+		event end method SetVal(v int) { self.val := v }
+	}
+`
+
 // genReplSteps expands a seed into a deterministic schedule: sends on the
-// three fixed objects, creation of extra objects, and deletion of extras.
+// three fixed objects, creation of extra objects, deletion of extras,
+// creating and dropping the index on Item.val, and — halfway — one evolve
+// of Item.
 func genReplSteps(seed int64, n int) []replStep {
 	rng := rand.New(rand.NewSource(seed))
 	alive := []string{"O0", "O1", "O2"}
 	extras := []string{}
 	nextExtra := 0
+	indexed := false
 	steps := []replStep{{script: replSimSchema}}
 	for i := 0; i < n; i++ {
-		r := rng.Intn(10)
+		if i == n/2 {
+			steps = append(steps, replStep{script: replEvolve})
+			continue
+		}
+		r := rng.Intn(11)
 		switch {
 		case r < 6: // one transaction of 1..3 sends
 			var sb strings.Builder
@@ -80,7 +98,7 @@ func genReplSteps(seed int64, n int) []replStep {
 			steps = append(steps, replStep{script: fmt.Sprintf("bind %s new Item(val: %d)", name, i)})
 			alive = append(alive, name)
 			extras = append(extras, name)
-		default: // delete the youngest extra, if any; else a send
+		case r < 10: // delete the youngest extra, if any; else a send
 			if len(extras) == 0 {
 				steps = append(steps, replStep{script: fmt.Sprintf("O0!SetVal(%d)", i*10)})
 				break
@@ -94,6 +112,13 @@ func genReplSteps(seed int64, n int) []replStep {
 				}
 			}
 			steps = append(steps, replStep{deleteName: name})
+		default: // create or drop the index
+			if indexed {
+				steps = append(steps, replStep{script: "unindex Item.val"})
+			} else {
+				steps = append(steps, replStep{script: "index Item.val"})
+			}
+			indexed = !indexed
 		}
 	}
 	return steps
@@ -135,15 +160,18 @@ func captureBatches(db *core.Database) *[]core.ReplBatch {
 	return &got
 }
 
-// replState is a comparable image of a database's committed heap.
+// replState is a comparable image of a database's committed heap and of
+// its secondary indexes: one line per indexed value, "Class.attr key ->
+// OIDs", OIDs sorted, lines sorted.
 type replState struct {
-	lsn  uint64
-	objs map[oid.OID][]byte
+	lsn     uint64
+	objs    map[oid.OID][]byte
+	indexes []string
 }
 
 // captureReplState snapshots the committed heap via ReplBaseState — the
 // same capture a base sync ships, so "the differ passes" and "a base sync
-// is faithful" are one property.
+// is faithful" are one property — and lists every index's contents.
 func captureReplState(db *core.Database) (*replState, error) {
 	st, err := db.ReplBaseState()
 	if err != nil {
@@ -153,11 +181,18 @@ func captureReplState(db *core.Database) (*replState, error) {
 	for _, o := range st.Objects {
 		s.objs[o.ID] = o.Img
 	}
+	for _, h := range db.Indexes() {
+		for key, ids := range h.Buckets() {
+			value.SortRefs(ids)
+			s.indexes = append(s.indexes, fmt.Sprintf("%s.%s %q -> %v", h.Class(), h.Attr(), key, ids))
+		}
+	}
+	sort.Strings(s.indexes)
 	return s, nil
 }
 
 // diffReplStates returns a description of the first divergence between two
-// heap images, or "".
+// captured states, or "".
 func diffReplStates(label string, a, b *replState) string {
 	if a.lsn != b.lsn {
 		return fmt.Sprintf("%s: LSN %d vs %d", label, a.lsn, b.lsn)
@@ -183,7 +218,19 @@ func diffReplStates(label string, a, b *replState) string {
 			}
 		}
 	}
+	for i := 0; i < max(len(a.indexes), len(b.indexes)); i++ {
+		if pa, pb := lineAt(a.indexes, i), lineAt(b.indexes, i); pa != pb {
+			return fmt.Sprintf("%s: index entry %d differs:\n  primary: %s\n  replica: %s", label, i, pa, pb)
+		}
+	}
 	return ""
+}
+
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "(none)"
 }
 
 // traceSink records committed-event pushes as deterministic strings, one
