@@ -4,22 +4,11 @@
 # crash-state enumeration, bit-flip and differential sweeps (the strided
 # versions already run inside `make test`); `make fuzz` gives each fuzz
 # target a short coverage-guided session on top of the checked-in corpora;
-# `make bench` produces the fast-path benchmark artifact BENCH_1.json
-# (with BENCH_0.json, the pre-fast-path seed measurements, embedded as the
-# baseline), the cold-open artifact BENCH_2.json, the
-# instrumentation-overhead artifact BENCH_3.json, the detached-pool
-# multi-core scaling artifact BENCH_4.json, the MVCC snapshot-read /
-# group-commit contention artifact BENCH_5.json, the networked-server
-# artifact BENCH_6.json, the replication read-scaling artifact
-# BENCH_7.json, the failover artifact BENCH_8.json (quorum-commit
-# latency vs async, promotion downtime), and the rule-churn artifact
-# BENCH_9.json (raise throughput under catalog churn, selective vs
-# global consumer-cache invalidation); `make bench-smoke` is a
-# one-iteration CI-sized pass over the same code paths plus a scrape of
-# the live /metrics endpoint; `make bench-gate` checks the checked-in
-# benchmark artifacts against the floors in dev/bench/thresholds.json
-# (CI runs this, so a PR that regenerates a BENCH_*.json with a
-# regression fails); `make golden` regenerates the checked-in golden
+# `make bench` runs the one benchmark (benchmark/, declared in BENCHMARK.json);
+# `make bench-smoke` runs each of its four workloads for one second through
+# benchmark/run.sh plus one iteration of every Go benchmark (CI runs this);
+# `make bench-gate BASE=<rev>` compares BASE against the working tree and
+# fails on a REGRESSION; `make golden` regenerates the checked-in golden
 # firing traces under internal/sim/testdata/golden/ (the matrix test
 # fails CI on any unexplained drift — regenerate deliberately and commit
 # the diff); `make loc` prints the code-size numbers (lines per package,
@@ -68,38 +57,23 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeReplBatch -fuzztime $(FUZZTIME) ./internal/wire/
 
-# Raise-path benchmarks: P1 (N rules), P8 (event-interface selectivity),
-# P11 (parallel sends), plus the machine-readable JSON suite.
+# Every workload once at BENCHMARK.json's run_seconds, untraced.
 bench:
-	$(GO) test -bench 'BenchmarkP1SubscriptionVsCentralized|BenchmarkP8InterfaceSelectivity|BenchmarkP11ParallelSend' -benchmem -run '^$$' .
-	$(GO) run ./cmd/sentinel-bench -json BENCH_1.json -baseline BENCH_0.json
-	$(GO) run ./cmd/sentinel-bench -json2 BENCH_2.json
-	$(GO) run ./cmd/sentinel-bench -json3 BENCH_3.json
-	$(GO) run ./cmd/sentinel-bench -json4 BENCH_4.json
-	$(GO) run ./cmd/sentinel-bench -json5 BENCH_5.json
-	$(GO) run ./cmd/sentinel-bench -json6 BENCH_6.json
-	$(GO) run ./cmd/sentinel-bench -json7 BENCH_7.json
-	$(GO) run ./cmd/sentinel-bench -json8 BENCH_8.json
-	$(GO) run ./cmd/sentinel-bench -json9 BENCH_9.json
+	$(GO) run ./benchmark
 
-# One-iteration pass over every benchmark entry point: catches bit-rot in
-# the bench harness without benchmark-grade runtimes (CI runs this).
+# Each workload for one second through benchmark/run.sh, the command
+# BENCHMARK.json declares, then one iteration of every testing.B benchmark.
 bench-smoke:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) test -bench BenchmarkInsert -benchtime 1x -run '^$$' ./internal/heap/
-	$(GO) run ./cmd/sentinel-bench -json2 /tmp/bench2-smoke.json -pop 2000 -resident 256
-	$(GO) run ./cmd/sentinel-bench -json3 /tmp/bench3-smoke.json
-	$(GO) run ./cmd/sentinel-bench -json4 /tmp/bench4-smoke.json -quick
-	$(GO) run ./cmd/sentinel-bench -json5 /tmp/bench5-smoke.json -quick
-	$(GO) run ./cmd/sentinel-bench -json6 /tmp/bench6-smoke.json -quick
-	$(GO) run ./cmd/sentinel-bench -json7 /tmp/bench7-smoke.json -quick
-	$(GO) run ./cmd/sentinel-bench -json8 /tmp/bench8-smoke.json -quick
-	$(GO) run ./cmd/sentinel-bench -json9 /tmp/bench9-smoke.json -quick
+	for w in raise_mem commit_durable paged_mixed remote_push; do \
+		bash benchmark/run.sh --workload $$w --seconds 1 --trace 0 || exit 1; \
+	done
+	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/...
 
-# Enforce the performance floors in dev/bench/thresholds.json over the
-# checked-in benchmark artifacts.
+# A/B run of BASE against the working tree (PAIRS alternating sets per side,
+# default 3), judged by `go run ./benchmark -compare`; see dev/bench/gate.sh.
+BASE ?= HEAD
 bench-gate:
-	$(GO) run ./cmd/bench-gate
+	bash dev/bench/gate.sh $(BASE)
 
 # Regenerate the golden firing-trace matrix (operator x coupling x
 # strategy) under internal/sim/testdata/golden/. The matrix test refuses
@@ -110,8 +84,8 @@ golden:
 	SENTINEL_GOLDEN_REGEN=1 $(GO) test -count=1 -run TestGoldenMatrix ./internal/sim/
 
 # Size of the system as numbers: non-test, non-comment Go lines per
-# internal/* package, the mutexes Database declares and the fields Options
-# has. A PR that claims to simplify quotes this before and after.
+# internal/* package, per cmd/* command, for benchmark/ and in total, the
+# mutexes Database declares and the fields Options has. A PR that claims to simplify quotes this before and after.
 loc:
 	@sh dev/loc.sh
 

@@ -1,6 +1,6 @@
 // Command sentinel-bench regenerates the experiment tables documented in
 // EXPERIMENTS.md: the §5 worked examples against the Ode- and ADAM-style
-// baselines (E1, E2), the performance-claim measurements (P1–P8), and the
+// baselines (E1, E2), the performance-claim measurements (P1–P10), and the
 // §7 comparison matrix (C1).
 //
 // Usage:
@@ -8,29 +8,6 @@
 //	sentinel-bench                 # run everything
 //	sentinel-bench -exp P1,E1      # run a subset
 //	sentinel-bench -quick          # reduced sizes (CI-friendly)
-//	sentinel-bench -json BENCH_1.json [-baseline BENCH_0.json]
-//	                               # machine-readable fast-path benchmarks
-//	sentinel-bench -json2 BENCH_2.json [-pop 100000] [-resident 4096]
-//	                               # cold-open / demand-paging benchmarks
-//	sentinel-bench -json3 BENCH_3.json
-//	                               # instrumentation-overhead benchmarks
-//	sentinel-bench -json4 BENCH_4.json [-quick]
-//	                               # detached-pool multi-core scaling suite
-//	sentinel-bench -json5 BENCH_5.json [-quick]
-//	                               # MVCC snapshot-read + group-commit suite
-//	sentinel-bench -json6 BENCH_6.json [-quick]
-//	                               # networked server: idle sessions,
-//	                               # pipelining, push fan-out latency
-//	sentinel-bench -json7 BENCH_7.json [-quick]
-//	                               # replication: read scaling across
-//	                               # followers, catch-up lag, push drops
-//	sentinel-bench -json8 BENCH_8.json [-quick]
-//	                               # failover: quorum-commit latency vs
-//	                               # async, promotion downtime
-//	sentinel-bench -json9 BENCH_9.json [-quick]
-//	                               # rule-churn: raise throughput under
-//	                               # catalog churn, selective vs global
-//	                               # consumer-cache invalidation
 package main
 
 import (
@@ -43,94 +20,9 @@ import (
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids (E1,E2,P1..P8,C1) or 'all'")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids (E1,E2,P1..P10,C1) or 'all'")
 	quick := flag.Bool("quick", false, "run at reduced sizes")
-	jsonOut := flag.String("json", "", "write fast-path benchmark results to this JSON file and exit")
-	baseline := flag.String("baseline", "", "embed this JSON file as the baseline in -json output")
-	json2Out := flag.String("json2", "", "write cold-open/demand-paging benchmark results to this JSON file and exit")
-	pop := flag.Int("pop", 100000, "population size for -json2")
-	resident := flag.Int("resident", 4096, "MaxResidentObjects ceiling for -json2")
-	json3Out := flag.String("json3", "", "write instrumentation-overhead benchmark results to this JSON file and exit")
-	json4Out := flag.String("json4", "", "write detached-pool multi-core scaling results to this JSON file and exit")
-	json5Out := flag.String("json5", "", "write MVCC snapshot-read/group-commit results to this JSON file and exit")
-	json6Out := flag.String("json6", "", "write networked-server benchmark results to this JSON file and exit")
-	json7Out := flag.String("json7", "", "write replication read-scaling benchmark results to this JSON file and exit")
-	json8Out := flag.String("json8", "", "write failover benchmark results (quorum commit latency, promotion downtime) to this JSON file and exit")
-	json9Out := flag.String("json9", "", "write rule-churn benchmark results (selective vs global consumer-cache invalidation) to this JSON file and exit")
-	idleClientAddr := flag.String("idle-client", "", "internal: run as the -json6 idle-session client subprocess against this address")
-	idleClientSessions := flag.Int("idle-sessions", 0, "internal: session count for -idle-client")
 	flag.Parse()
-
-	if *idleClientAddr != "" {
-		if err := runIdleClient(*idleClientAddr, *idleClientSessions); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut != "" {
-		if err := runJSONBench(*jsonOut, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *json2Out != "" {
-		if err := runColdOpenBench(*json2Out, *pop, *resident); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *json3Out != "" {
-		if err := runObsBench(*json3Out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *json4Out != "" {
-		if err := runMultiCoreBench(*json4Out, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *json5Out != "" {
-		if err := runMVCCBench(*json5Out, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *json6Out != "" {
-		if err := runServerBench(*json6Out, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *json7Out != "" {
-		if err := runReplBench(*json7Out, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *json8Out != "" {
-		if err := runFailoverBench(*json8Out, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *json9Out != "" {
-		if err := runChurnBench(*json9Out, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	sizes := struct {
 		p1Sizes    []int

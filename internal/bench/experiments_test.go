@@ -8,7 +8,7 @@ import (
 
 // TestExperimentsRun exercises every experiment end-to-end at reduced sizes
 // and sanity-checks the headline results (full-size runs live in
-// cmd/sentinel-bench and the root benchmark suite).
+// cmd/sentinel-bench).
 func TestExperimentsRun(t *testing.T) {
 	e1 := RunE1().String()
 	for _, sys := range []string{"Sentinel", "Ode-style", "ADAM-style"} {

@@ -1,5 +1,5 @@
-// Package bench provides the experiment harness shared by the benchmark
-// suite (bench_test.go) and the sentinel-bench binary: workload generators
+// Package bench provides the experiment harness behind the sentinel-bench
+// binary and TestExperimentsRun: workload generators
 // for the paper's motivating domains (employees/managers, stocks/
 // portfolios, patients), shared Go-defined schemas, and a plain-text table
 // printer that renders each experiment the way the paper's evaluation

@@ -1,10 +1,12 @@
 package core
 
 // Internal tests for the event-propagation fast path: the zero-allocation
-// guarantee of the cached consumer-resolution path, and a -race stress test
-// exercising concurrent Sends against live rule churn. These live in
-// package core (not core_test) because they pin down unexported internals
-// (raise, consumersOf) that the public API intentionally hides.
+// guarantee of the cached consumer-resolution path, a -race stress test
+// exercising concurrent Sends against live rule churn, and the
+// parallel-send benchmark (the one measurement with more than one raising
+// goroutine). These live in package core (not core_test) because they pin
+// down unexported internals (raise, consumersOf) that the public API
+// intentionally hides.
 
 import (
 	"errors"
@@ -24,7 +26,7 @@ import (
 
 // hotPathClass registers a reactive class P with one declared event method
 // Set(float v) and returns n fresh instances.
-func hotPathClass(t *testing.T, db *Database, n int) []oid.OID {
+func hotPathClass(t testing.TB, db *Database, n int) []oid.OID {
 	t.Helper()
 	cls := schema.NewClass("P")
 	cls.Classification = schema.ReactiveClass
@@ -437,4 +439,68 @@ func TestConcurrentSendSchemaChurn(t *testing.T) {
 	if len(rules) != 2 { // probe (instance) + flappy (class)
 		t.Fatalf("probe consumer set has %d rules after churn, want 2", len(rules))
 	}
+}
+
+// BenchmarkParallelSend: concurrent transactions raising events, scaling
+// with GOMAXPROCS. The consumer-resolution cache and the reader/writer
+// catalog lock mean propagation takes no exclusive database-wide lock, so
+// disjoint-object throughput should rise near-linearly with parallelism;
+// the shared variant adds strict-2PL object-lock contention on top and
+// bounds the benefit.
+func BenchmarkParallelSend(b *testing.B) {
+	setup := func(b *testing.B, objects int) (*Database, []oid.OID) {
+		db := MustOpen(Options{Output: io.Discard})
+		ids := hotPathClass(b, db, objects)
+		if err := db.Atomically(func(tx *Tx) error {
+			_, err := db.CreateRule(tx, RuleSpec{
+				Name: "watch", EventSrc: "end P::Set(float v)", ClassLevel: "P",
+				Condition: func(rule.ExecContext, event.Detection) (bool, error) { return false, nil },
+			})
+			return err
+		}); err != nil {
+			b.Fatal(err)
+		}
+		return db, ids
+	}
+	send := func(db *Database, id oid.OID) error {
+		return db.Atomically(func(tx *Tx) error {
+			_, err := db.Send(tx, id, "Set", value.Float(1))
+			return err
+		})
+	}
+	b.Run("disjoint", func(b *testing.B) {
+		// Each goroutine owns one object: no object-lock contention, pure
+		// propagation-path parallelism.
+		const objects = 512
+		db, ids := setup(b, objects)
+		var next atomic.Uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			id := ids[int(next.Add(1)-1)%objects]
+			for pb.Next() {
+				if err := send(db, id); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
+	b.Run("shared", func(b *testing.B) {
+		// All goroutines draw from the same 8 objects: transactions collide
+		// on object locks and the cache entries are shared across CPUs.
+		const objects = 8
+		db, ids := setup(b, objects)
+		var next atomic.Uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := send(db, ids[int(next.Add(1)-1)%objects]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }

@@ -448,6 +448,104 @@ func TestZeroAllocsAfterChurn(t *testing.T) {
 	}
 }
 
+// TestChurnKeepsHotEntriesWarm is the rule-churn headline as a
+// deterministic test: hot objects are raised on round after round while,
+// between rounds, a churner flips a class-level rule's enable bit and
+// subscribes/unsubscribes a rule on another object. Selective invalidation
+// never stales a hot entry (enable/disable is filtered at Notify, the
+// subscription's blast radius is the other object), so after warm-up every
+// hot raise is a cache hit. The global reference mode stales the whole
+// cache on each mutation: at least one miss per mutation.
+func TestChurnKeepsHotEntriesWarm(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		global bool
+	}{{"selective", false}, {"global", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := MustOpen(Options{Output: io.Discard, GlobalConsumerInvalidation: tc.global})
+			ids := hotPathClass(t, db, 9)
+			hot, churnObj := ids[:8], ids[8]
+			noCond := func(rule.ExecContext, event.Detection) (bool, error) { return false, nil }
+			var subtgt oid.OID
+			if err := db.Atomically(func(tx *Tx) error {
+				for i, id := range hot {
+					r, err := db.CreateRule(tx, RuleSpec{Name: fmt.Sprintf("w%d", i), EventSrc: "end P::Set(float v)", Condition: noCond})
+					if err != nil {
+						return err
+					}
+					if err := db.Subscribe(tx, id, r.ID()); err != nil {
+						return err
+					}
+				}
+				if _, err := db.CreateRule(tx, RuleSpec{Name: "flip", EventSrc: "end P::Set(float v)", ClassLevel: "P", Condition: noCond}); err != nil {
+					return err
+				}
+				r, err := db.CreateRule(tx, RuleSpec{Name: "subtgt", EventSrc: "end P::Set(float v)", Condition: noCond})
+				if err != nil {
+					return err
+				}
+				subtgt = r.ID()
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			raiseHot := func() {
+				for _, id := range hot {
+					if err := db.Atomically(func(tx *Tx) error {
+						_, err := db.Send(tx, id, "Set", value.Float(1))
+						return err
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			churn := func(k int) {
+				if err := db.Atomically(func(tx *Tx) error {
+					switch k % 4 {
+					case 0:
+						return db.DisableRule(tx, "flip")
+					case 1:
+						return db.Subscribe(tx, churnObj, subtgt)
+					case 2:
+						return db.EnableRule(tx, "flip")
+					default:
+						return db.Unsubscribe(tx, churnObj, subtgt)
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Warm-up: one churn cycle too, since enable/disable raises on
+			// the rule object itself and its first raise is a miss.
+			raiseHot()
+			for k := 0; k < 4; k++ {
+				churn(k)
+			}
+			raiseHot()
+			before := db.Stats().Rules
+			const mutations = 20
+			for k := 0; k < mutations; k++ {
+				churn(k)
+				raiseHot()
+			}
+			after := db.Stats().Rules
+			misses := after.CacheMisses - before.CacheMisses
+			if hits := after.CacheHits - before.CacheHits; hits+misses < mutations*uint64(len(hot)) {
+				t.Fatalf("cache saw %d lookups, want ≥ %d hot raises", hits+misses, mutations*len(hot))
+			}
+			if tc.global {
+				if misses < mutations {
+					t.Errorf("global mode: %d misses over %d mutations, want ≥ 1 per mutation", misses, mutations)
+				}
+			} else if misses != 0 {
+				t.Errorf("selective mode: %d misses after warm-up, want 0 (churn staled a hot entry)", misses)
+			}
+		})
+	}
+}
+
 // TestGlobalReferenceMode pins the GlobalConsumerInvalidation escape
 // hatch: every mutation — including enable/disable, which the selective
 // scheme ignores — bumps the global epoch, and firing behaviour matches

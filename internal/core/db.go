@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -477,30 +478,38 @@ func (db *Database) LookupEvent(name string) (*event.Expr, bool) {
 // clock, DSL class sequence, and — since the demand-paging refactor — the
 // heap-class catalog (a class-name string table plus OID → class-index
 // pairs), so a clean open enumerates the heap population without scanning
-// and decoding every page.
+// and decoding every page. Class names are written sorted and pairs in OID
+// order, so the same catalog always encodes to the same bytes.
 func (db *Database) metaBlob() []byte {
 	buf := binary.AppendUvarint(nil, uint64(db.alloc.HighWater()))
 	buf = binary.AppendUvarint(buf, db.clock.Load())
 	buf = binary.AppendUvarint(buf, uint64(db.dslClassSeq))
 
 	db.catMu.RLock()
+	ids := make([]oid.OID, 0, len(db.heapCat))
 	classIdx := make(map[string]int)
 	var classes []string
-	for _, cls := range db.heapCat {
+	for id, cls := range db.heapCat {
+		ids = append(ids, id)
 		if _, ok := classIdx[cls]; !ok {
 			classIdx[cls] = len(classes)
 			classes = append(classes, cls)
 		}
+	}
+	slices.Sort(ids)
+	sort.Strings(classes)
+	for i, cls := range classes {
+		classIdx[cls] = i
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(classes)))
 	for _, cls := range classes {
 		buf = binary.AppendUvarint(buf, uint64(len(cls)))
 		buf = append(buf, cls...)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(db.heapCat)))
-	for id, cls := range db.heapCat {
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	for _, id := range ids {
 		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = binary.AppendUvarint(buf, uint64(classIdx[cls]))
+		buf = binary.AppendUvarint(buf, uint64(classIdx[db.heapCat[id]]))
 	}
 	db.catMu.RUnlock()
 	// Trailing replication position (absent in pre-replication

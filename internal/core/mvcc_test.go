@@ -4,8 +4,8 @@ package core
 // chains) and its interactions with the pager's clock eviction and the
 // WAL's group commit: snapshot isolation against concurrent writers,
 // read-only enforcement, watermark-driven pruning, the chained-entry
-// eviction guard, mid-snapshot fault-back-in, snapshot-evaluated detached
-// conditions, and option validation. These live in package core because
+// eviction guard, mid-snapshot fault-back-in and snapshot-evaluated
+// detached conditions. These live in package core because
 // they pin unexported internals (the directory, the snapshot registry)
 // alongside the public BeginSnapshot surface.
 
@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 
@@ -505,21 +504,6 @@ func TestCheckRefsAtSnapshot(t *testing.T) {
 	}
 	if problems := db.CheckRefsAt(snap); len(problems) != 0 {
 		t.Fatalf("CheckRefsAt reported false danglers: %v", problems)
-	}
-}
-
-// TestGroupCommitOptionValidation pins the GroupCommitWindow contract.
-func TestGroupCommitOptionValidation(t *testing.T) {
-	if err := (Options{GroupCommitWindow: -1}).Validate(); err == nil ||
-		!strings.Contains(err.Error(), "GroupCommitWindow") {
-		t.Fatalf("negative window: err = %v, want GroupCommitWindow error", err)
-	}
-	if err := (Options{GroupCommitWindow: 1}).Validate(); err == nil ||
-		!strings.Contains(err.Error(), "SyncOnCommit") {
-		t.Fatalf("window without SyncOnCommit: err = %v, want coupling error", err)
-	}
-	if err := (Options{Dir: "x", SyncOnCommit: true, GroupCommitWindow: 1}).Validate(); err != nil {
-		t.Fatalf("valid group-commit config rejected: %v", err)
 	}
 }
 

@@ -28,15 +28,6 @@ type Options struct {
 	// meaningful with Dir set. Concurrent committers coalesce through the
 	// WAL's group-commit protocol, sharing one write + fsync.
 	SyncOnCommit bool
-	// GroupCommitWindow bounds the extra time a group-commit leader waits
-	// for more committers to join its batch before flushing, and only when
-	// other commits are already in flight — an uncontended commit always
-	// flushes immediately at single-commit latency. 0 (default) disables
-	// the explicit window; batching still happens naturally while a flush
-	// is in progress (followers queue behind the leader's fsync). Must not
-	// be negative, and requires SyncOnCommit (without per-commit fsyncs
-	// there is nothing worth waiting to share).
-	GroupCommitWindow time.Duration
 	// PoolPages is the heap buffer-pool capacity in pages. 0 means the
 	// heap default (256). Must not be negative.
 	PoolPages int
@@ -122,8 +113,9 @@ type Options struct {
 	// the global subscription epoch and stales the whole cache, exactly
 	// the pre-selective behaviour. It exists as the differential-testing
 	// reference (selective and global invalidation must produce identical
-	// firing traces) and as the churn-benchmark baseline; production use
-	// is strictly slower under rule/schema churn. Default false.
+	// firing traces) and as the baseline the consumer-cache churn test
+	// compares against; production use is strictly slower under rule/schema
+	// churn. Default false.
 	GlobalConsumerInvalidation bool
 
 	// ---- Application hooks ----
@@ -217,12 +209,6 @@ func (o Options) Validate() error {
 	}
 	if o.DetachedWorkers > 0 && !o.AsyncDetached {
 		errs = append(errs, errors.New("DetachedWorkers is set but AsyncDetached is false: the worker pool only runs detached rules asynchronously; set AsyncDetached or drop DetachedWorkers"))
-	}
-	if o.GroupCommitWindow < 0 {
-		errs = append(errs, fmt.Errorf("GroupCommitWindow is %v; must be >= 0 (0 disables the wait window)", o.GroupCommitWindow))
-	}
-	if o.GroupCommitWindow > 0 && !o.SyncOnCommit {
-		errs = append(errs, errors.New("GroupCommitWindow is set but SyncOnCommit is false: without per-commit fsyncs there is no fsync to share; set SyncOnCommit or drop the window"))
 	}
 	if _, err := rule.ParseStrategy(o.Strategy); err != nil {
 		errs = append(errs, err)

@@ -70,7 +70,6 @@ func (db *Database) openStorage() error {
 		db.met.groupedCommits.Add(uint64(commits))
 		db.met.commitGroupH.Observe(time.Duration(commits))
 	})
-	log.SetGroupWindow(db.opts.GroupCommitWindow)
 
 	// Redo recovery. First scan the log; any logged work means the side
 	// index cannot be trusted (a crash may have left it at the previous

@@ -186,36 +186,38 @@ func TestReplicaAppliesEvolve(t *testing.T) {
 }
 
 // TestSameScriptSameBytes: one multi-object script run twice on fresh
-// in-memory file systems writes byte-identical WAL and heap files.
+// in-memory file systems writes byte-identical WAL, heap and object-table
+// files (the last carries the checkpoint's heap-class catalog).
 func TestSameScriptSameBytes(t *testing.T) {
-	run := func() (walImg, heapImg []byte) {
+	run := func() map[string][]byte {
 		fs := vfs.NewMem()
 		db := core.MustOpen(core.Options{Dir: "db", VFS: fs, Output: io.Discard,
 			MaxResidentObjects: 0, CheckpointBytes: -1})
 		for _, step := range kitSteps {
 			runKitStep(t, db, step)
 		}
-		walImg, err := fs.ReadFile("db/sentinel.wal")
-		if err != nil {
-			t.Fatal(err)
+		img := make(map[string][]byte)
+		read := func(name string) {
+			b, err := fs.ReadFile("db/" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img[name] = b
 		}
+		read("sentinel.wal")
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		heapImg, err = fs.ReadFile("db/objects.dat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return walImg, heapImg
+		read("objects.dat")
+		read("objects.idx")
+		return img
 	}
-	wal1, heap1 := run()
+	first := run()
 	for i := 0; i < 3; i++ {
-		wal2, heap2 := run()
-		if !bytes.Equal(wal1, wal2) {
-			t.Fatalf("run %d: WAL differs (%d vs %d bytes)", i+2, len(wal1), len(wal2))
-		}
-		if !bytes.Equal(heap1, heap2) {
-			t.Fatalf("run %d: objects.dat differs (%d vs %d bytes)", i+2, len(heap1), len(heap2))
+		for name, b := range run() {
+			if !bytes.Equal(first[name], b) {
+				t.Fatalf("run %d: %s differs (%d vs %d bytes)", i+2, name, len(first[name]), len(b))
+			}
 		}
 	}
 }

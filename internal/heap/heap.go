@@ -16,7 +16,7 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"sentinel/internal/buffer"
@@ -327,7 +327,7 @@ func (s *Store) writeIndexLocked() error {
 	for id := range s.table {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		rid := s.table[id]
 		buf = binary.AppendUvarint(buf, uint64(id))

@@ -73,20 +73,20 @@ func groupSchema(writers int) string {
 
 // RunGroupWorkload drives writers concurrent committers, each committing
 // rounds transactions that set BOTH its cells to the round number in one
-// transaction, through the group-commit path (SyncOnCommit plus a small
-// window so flushes coalesce under contention). The fault VFS is wrapped
-// in a latency layer that charges each fsync a realistic delay — with
-// instant fsyncs committers never overlap and every flush degenerates to
-// a singleton, which would leave the coalesced-batch recovery path
-// untested. The latency layer only sleeps; the op journal (and hence the
-// crash-state enumeration) is the fault VFS's own.
+// transaction, through the group-commit path (SyncOnCommit). The fault VFS
+// is wrapped in a latency layer that charges each fsync a realistic delay:
+// committers that arrive during a leader's fsync queue behind it and ride
+// the next flush together. With instant fsyncs committers never overlap and
+// every flush degenerates to a singleton, which would leave the
+// coalesced-batch recovery path untested. The latency layer only sleeps;
+// the op journal (and hence the crash-state enumeration) is the fault VFS's
+// own.
 func RunGroupWorkload(fault *vfs.Fault, writers, rounds int) (*GroupOracle, error) {
 	db, err := core.Open(core.Options{
-		Dir:               GroupDir,
-		VFS:               vfs.NewLatency(fault, 300*time.Microsecond, 0),
-		SyncOnCommit:      true,
-		GroupCommitWindow: 200 * time.Microsecond,
-		Output:            io.Discard,
+		Dir:          GroupDir,
+		VFS:          vfs.NewLatency(fault, 300*time.Microsecond, 0),
+		SyncOnCommit: true,
+		Output:       io.Discard,
 	})
 	if err != nil {
 		return nil, err

@@ -7,7 +7,7 @@ import (
 )
 
 // WorkerCounts are the detached-pool sizes every parallel scenario is
-// replayed under (matching the supported sweep in cmd/sentinel-bench).
+// replayed under.
 var WorkerCounts = []int{1, 2, 4, 8}
 
 // TestParallelDetachedConsistency is the linearizability-style check for

@@ -130,37 +130,6 @@ func TestCommitBatchNoSyncSkipsFsync(t *testing.T) {
 	}
 }
 
-// TestCommitBatchWindow exercises the bounded wait window configuration
-// path; the window must not stall an uncontended commit indefinitely.
-func TestCommitBatchWindow(t *testing.T) {
-	l, _ := openTemp(t)
-	l.SetGroupWindow(2 * time.Millisecond)
-	start := time.Now()
-	if err := l.CommitBatch([]Record{{Type: RecCommit, Tx: 1}}, true); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("uncontended windowed commit took %v", d)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				tx := uint64(100 + g*10 + i)
-				if err := l.CommitBatch([]Record{{Type: RecCommit, Tx: tx}}, true); err != nil {
-					t.Error(err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := collect(t, l); len(got) != 41 {
-		t.Fatalf("replayed %d records, want 41", len(got))
-	}
-}
-
 // TestCommitBatchInteropWithSyncBarrier mixes the legacy barrier path with
 // CommitBatch to ensure the shared syncedTo watermark stays coherent.
 func TestCommitBatchInteropWithSyncBarrier(t *testing.T) {

@@ -26,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sentinel/internal/oid"
@@ -76,11 +75,8 @@ type Log struct {
 	// records without allocating per record.
 	buf []byte
 
-	// group is the commit coalescer (see CommitBatch); inflight counts
-	// callers currently inside CommitBatch, which is what lets a leader
-	// decide whether a bounded wait window could pay off.
-	group    groupState
-	inflight atomic.Int32
+	// group is the commit coalescer (see CommitBatch).
+	group groupState
 
 	// failed is the sticky fail-stop error, set under mu once a failed group
 	// flush could not be rewound (see rewind); every later flush refuses.
@@ -443,11 +439,6 @@ func (l *Log) SyncBarrier() error {
 //      and claims everything that accumulated during the flush. The fsync
 //      duration is therefore the natural batching window: the slower the
 //      device, the larger the groups, with no tuning.
-//
-// An optional bounded wait window (SetGroupWindow) lets a leader that can
-// SEE more committers in flight (inflight > claimed) linger briefly before
-// flushing — useful only when fsync is so fast that groups stay small.
-// The window never delays an uncontended commit.
 
 // groupReq is one committer's batch waiting in the coalescer.
 type groupReq struct {
@@ -464,15 +455,6 @@ type groupState struct {
 	cond     *sync.Cond
 	flushing bool
 	queue    []*groupReq
-	window   time.Duration
-}
-
-// SetGroupWindow installs a bounded wait window: a leader that observes more
-// committers in flight than it has claimed waits up to d for them before
-// flushing. 0 (the default) flushes immediately; the fsync itself already
-// accumulates the next group. Call before the log sees concurrent use.
-func (l *Log) SetGroupWindow(d time.Duration) {
-	l.group.window = d
 }
 
 // SetGroupHook installs a callback observing every group flush with the
@@ -500,9 +482,6 @@ var ErrFailStopped = errors.New("wal: log fail-stopped after a failed rewind")
 // it, and the group's records are gone from the log — a failed flush is
 // rewound before anyone hears of it — unless the error is ErrInDoubt.
 func (l *Log) CommitBatch(recs []Record, durable bool) error {
-	l.inflight.Add(1)
-	defer l.inflight.Add(-1)
-
 	g := &l.group
 	g.mu.Lock()
 	if g.cond == nil {
@@ -523,15 +502,6 @@ func (l *Log) CommitBatch(recs []Record, durable bool) error {
 	g.flushing = true
 	batch := g.queue
 	g.queue = nil
-	if g.window > 0 && int(l.inflight.Load()) > len(batch) {
-		// More committers are between their inflight bump and the queue:
-		// give them up to the window to join this group.
-		g.mu.Unlock()
-		time.Sleep(g.window)
-		g.mu.Lock()
-		batch = append(batch, g.queue...)
-		g.queue = nil
-	}
 	g.mu.Unlock()
 
 	err := l.flushGroup(batch)
