@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeReplBatch -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz FuzzLoadIndex -fuzztime $(FUZZTIME) ./internal/heap/
 
 # Every workload once at BENCHMARK.json's run_seconds, untraced.
 bench:

@@ -322,15 +322,15 @@ func (sc *commitScratch) release() {
 }
 
 // applyCommit applies the logged batch to the heap (redo applied eagerly;
-// the log protects it), records each image's class in the heap-class catalog
-// and marks the written directory entries clean — evictable again. A heap
+// the log protects it), each image with its class, and marks the written
+// directory entries clean — evictable again. A heap
 // error cannot un-commit: the first one stops the apply (the remaining
 // entries stay dirty, hence resident, so memory keeps the committed state)
 // and puts the database into the ErrHeapBehind fail-stop.
 //
 //	holds:     2PL locks, pins, ckptMu shared
 //	blocks on: buffer-pool page I/O
-//	publishes: heap images, heap-class catalog entries, clean bits
+//	publishes: heap images and their classes, clean bits
 func (db *Database) applyCommit(c *commitState) {
 	if c.batch == nil {
 		return

@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,16 +95,6 @@ type Database struct {
 	lsn       lsnTracker
 	snaps     snapRegistry
 	lastSweep atomic.Uint64
-
-	// catMu guards the heap-class catalog: OID → class name for every
-	// committed persistent object, mirroring the heap's object table so
-	// population-wide operations (InstancesOf, Dump, integrity checks,
-	// index rebuild, Stats) can enumerate cold objects without decoding
-	// them. catNames interns the class-name strings. Persisted in the
-	// checkpoint metadata so a clean open skips the full heap scan.
-	catMu    sync.RWMutex
-	heapCat  map[oid.OID]string
-	catNames map[string]string
 
 	// ckptMu fences checkpoints against commits: a commit holds it shared
 	// from its WAL append through heap apply and ship (commit.go),
@@ -475,135 +464,56 @@ func (db *Database) LookupEvent(name string) (*event.Expr, bool) {
 }
 
 // metaBlob encodes the checkpoint metadata: OID high-water mark, logical
-// clock, DSL class sequence, and — since the demand-paging refactor — the
-// heap-class catalog (a class-name string table plus OID → class-index
-// pairs), so a clean open enumerates the heap population without scanning
-// and decoding every page. Class names are written sorted and pairs in OID
-// order, so the same catalog always encodes to the same bytes.
+// clock, DSL class sequence, two zero counts, then the replication LSN and
+// epoch. Blobs kept in a v1 objects.idx hold a heap-class catalog (class
+// names, then OID → class pairs) where the zero counts are, so loadMeta reads
+// both layouts alike. LSN and epoch are written together so a checkpoint can
+// never persist a new epoch with the other history's LSN or vice versa.
 func (db *Database) metaBlob() []byte {
 	buf := binary.AppendUvarint(nil, uint64(db.alloc.HighWater()))
 	buf = binary.AppendUvarint(buf, db.clock.Load())
 	buf = binary.AppendUvarint(buf, uint64(db.dslClassSeq))
-
-	db.catMu.RLock()
-	ids := make([]oid.OID, 0, len(db.heapCat))
-	classIdx := make(map[string]int)
-	var classes []string
-	for id, cls := range db.heapCat {
-		ids = append(ids, id)
-		if _, ok := classIdx[cls]; !ok {
-			classIdx[cls] = len(classes)
-			classes = append(classes, cls)
-		}
-	}
-	slices.Sort(ids)
-	sort.Strings(classes)
-	for i, cls := range classes {
-		classIdx[cls] = i
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(classes)))
-	for _, cls := range classes {
-		buf = binary.AppendUvarint(buf, uint64(len(cls)))
-		buf = append(buf, cls...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = binary.AppendUvarint(buf, uint64(classIdx[db.heapCat[id]]))
-	}
-	db.catMu.RUnlock()
-	// Trailing replication position (absent in pre-replication
-	// checkpoints; loadMeta treats both fields as optional). LSN and epoch
-	// are written together so a checkpoint can never persist a new epoch
-	// with the other history's LSN or vice versa.
+	buf = append(buf, 0, 0)
 	lsn, epoch := db.replPosition()
 	buf = binary.AppendUvarint(buf, lsn)
-	buf = binary.AppendUvarint(buf, epoch)
-	return buf
+	return binary.AppendUvarint(buf, epoch)
 }
 
-// loadMeta decodes the checkpoint metadata, returning whether a heap-class
-// catalog was present and well-formed (pre-paging checkpoints lack it; the
-// caller falls back to a heap scan).
-func (db *Database) loadMeta(buf []byte) (catalogLoaded bool) {
-	hw, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return false
+// loadMeta decodes the checkpoint metadata. A blob may end early: older
+// checkpoints lack the replication LSN and epoch, and a store that lost its
+// index has no blob at all; the missing fields keep their zero values.
+func (db *Database) loadMeta(buf []byte) {
+	next := func() uint64 {
+		v, n := binary.Uvarint(buf)
+		if n <= 0 {
+			buf = nil
+			return 0
+		}
+		buf = buf[n:]
+		return v
 	}
-	db.alloc.Advance(oid.OID(hw))
-	buf = buf[n:]
-	clk, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return false
-	}
-	for db.clock.Load() < clk {
+	db.alloc.Advance(oid.OID(next()))
+	if clk := next(); db.clock.Load() < clk {
 		db.clock.Store(clk)
 	}
-	buf = buf[n:]
-	seq, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return false
+	db.dslClassSeq = max(db.dslClassSeq, int(next()))
+	// Skip a v1-era heap-class catalog; the heap's object table holds classes.
+	for n := next(); n > 0 && len(buf) > 0; n-- {
+		l := next()
+		buf = buf[min(l, uint64(len(buf))):]
 	}
-	if int(seq) > db.dslClassSeq {
-		db.dslClassSeq = int(seq)
+	for n := next(); n > 0 && len(buf) > 0; n-- {
+		next()
+		next()
 	}
-	buf = buf[n:]
-
-	nClasses, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return false
-	}
-	buf = buf[n:]
-	classes := make([]string, 0, nClasses)
-	for i := uint64(0); i < nClasses; i++ {
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf[n:])) < l {
-			return false
-		}
-		buf = buf[n:]
-		classes = append(classes, string(buf[:l]))
-		buf = buf[l:]
-	}
-	nEntries, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return false
-	}
-	buf = buf[n:]
-	cat := make(map[oid.OID]string, nEntries)
-	for i := uint64(0); i < nEntries; i++ {
-		id, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return false
-		}
-		buf = buf[n:]
-		ci, n := binary.Uvarint(buf)
-		if n <= 0 || ci >= uint64(len(classes)) {
-			return false
-		}
-		buf = buf[n:]
-		cat[oid.OID(id)] = classes[ci]
-	}
-	db.catMu.Lock()
-	db.heapCat = cat
-	db.catNames = make(map[string]string, len(classes))
-	for _, cls := range classes {
-		db.catNames[cls] = cls
-	}
-	db.catMu.Unlock()
-	// Optional trailing replication LSN + epoch (pre-replication
-	// checkpoints end before the LSN, pre-failover ones before the epoch).
 	// openStorage adds the committed batches replayed from the WAL on top
 	// of this LSN base; the epoch carries over as-is.
-	if lsn, n := binary.Uvarint(buf); n > 0 {
-		buf = buf[n:]
+	if len(buf) > 0 {
 		db.replMu.Lock()
-		db.replLSN = lsn
-		if epoch, n := binary.Uvarint(buf); n > 0 {
-			db.replEpoch = epoch
-		}
+		db.replLSN = next()
+		db.replEpoch = next()
 		db.replMu.Unlock()
 	}
-	return true
 }
 
 func (db *Database) walPath() string { return filepath.Join(db.opts.Dir, "sentinel.wal") }

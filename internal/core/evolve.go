@@ -55,10 +55,10 @@ func (db *Database) EvolveClass(t *Tx, newCls *schema.Class, dslSource string) e
 	db.mu.RUnlock()
 
 	// Collect the instances (exact class only: no subclasses can exist):
-	// residents of the old class plus cold heap instances from the
-	// catalog. Lock and fault them in BEFORE the registry swap — decoding
-	// must still see the old layout. Migrated instances are all dirty
-	// (hence wired) until commit writes the new images.
+	// residents of the old class plus cold heap instances. Lock and fault
+	// them in BEFORE the registry swap — decoding must still see the old
+	// layout. Migrated instances are all dirty (hence wired) until commit
+	// writes the new images.
 	var migrated []oid.OID
 	db.dir.forEach(func(id oid.OID, o *object.Object, tomb bool) {
 		if !tomb && o.Class() == old {
@@ -70,15 +70,14 @@ func (db *Database) EvolveClass(t *Tx, newCls *schema.Class, dslSource string) e
 		for _, id := range migrated {
 			present[id] = true
 		}
-		db.catMu.RLock()
-		for id, cls := range db.heapCat {
-			if cls == name && !present[id] {
-				if _, resident := db.dir.get(id); !resident {
-					migrated = append(migrated, id)
-				}
+		for _, o := range db.store.Objects() {
+			if o.Class != name || present[o.ID] {
+				continue
+			}
+			if _, resident := db.dir.get(o.ID); !resident {
+				migrated = append(migrated, o.ID)
 			}
 		}
-		db.catMu.RUnlock()
 	}
 	value.SortRefs(migrated)
 

@@ -256,9 +256,9 @@ func (db *Database) resolveSnapshot(id oid.OID, s uint64) (*object.Object, error
 // InstancesOfAt returns the OIDs of all instances of the named class (and
 // subclasses) visible to t's snapshot, sorted. For an ordinary transaction
 // (or nil) it behaves exactly like InstancesOf. The scan unions the
-// directory's snapshot view with the heap-class catalog; catalog entries
-// that gained a directory entry after the shard scan are re-checked through
-// the snapshot protocol so post-snapshot commits cannot leak in.
+// directory's snapshot view with the heap's object table; heap objects that
+// gained a directory entry after the shard scan are re-checked through the
+// snapshot protocol so post-snapshot commits cannot leak in.
 func (db *Database) InstancesOfAt(t *Tx, class string) []oid.OID {
 	if t == nil || t.snapID == 0 {
 		return db.InstancesOf(class)
@@ -277,36 +277,19 @@ func (db *Database) InstancesOfAt(t *Tx, class string) []oid.OID {
 		}
 	})
 	if db.store != nil {
-		var heapIDs []oid.OID
-		var heapCls []string
-		db.catMu.RLock()
-		for id, cls := range db.heapCat {
-			if !present[id] {
-				heapIDs = append(heapIDs, id)
-				heapCls = append(heapCls, cls)
-			}
-		}
-		db.catMu.RUnlock()
-		isSub := make(map[string]bool)
-		for i, id := range heapIDs {
-			cls := heapCls[i]
-			sub, cached := isSub[cls]
-			if !cached {
-				cc := db.reg.Lookup(cls)
-				sub = cc != nil && cc.IsSubclassOf(c)
-				isSub[cls] = sub
-			}
-			if !sub {
+		subs := db.heapSubclasses(c)
+		for _, ho := range db.store.Objects() {
+			if !subs[ho.Class] || present[ho.ID] {
 				continue
 			}
-			switch o, st := db.dir.snapshotGet(id, s); st {
+			switch o, st := db.dir.snapshotGet(ho.ID, s); st {
 			case snapMiss:
 				// Truly heap-only: committed at or below the watermark,
 				// hence visible at s.
-				out = append(out, id)
+				out = append(out, ho.ID)
 			case snapOK:
 				if o.Class().IsSubclassOf(c) {
-					out = append(out, id)
+					out = append(out, ho.ID)
 				}
 			}
 		}
@@ -333,13 +316,11 @@ func (db *Database) forEachSnapshotObject(t *Tx, fn func(id oid.OID, o *object.O
 		}
 	})
 	if db.store != nil {
-		db.catMu.RLock()
-		for id := range db.heapCat {
-			if !present[id] {
-				ids = append(ids, id)
+		for _, o := range db.store.Objects() {
+			if !present[o.ID] {
+				ids = append(ids, o.ID)
 			}
 		}
-		db.catMu.RUnlock()
 	}
 	for _, id := range ids {
 		o, err := db.resolveSnapshot(id, s)
@@ -373,18 +354,12 @@ func (db *Database) CheckRefsAt(t *Tx) []string {
 		}
 	})
 	if db.store != nil {
-		db.catMu.RLock()
-		heapIDs := make([]oid.OID, 0, len(db.heapCat))
-		for id := range db.heapCat {
-			heapIDs = append(heapIDs, id)
-		}
-		db.catMu.RUnlock()
-		for _, id := range heapIDs {
-			if visible[id] {
+		for _, o := range db.store.Objects() {
+			if visible[o.ID] {
 				continue
 			}
-			if _, st := db.dir.snapshotGet(id, t.snapLSN); st == snapMiss {
-				visible[id] = true
+			if _, st := db.dir.snapshotGet(o.ID, t.snapLSN); st == snapMiss {
+				visible[o.ID] = true
 			}
 		}
 	}

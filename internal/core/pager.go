@@ -2,11 +2,10 @@ package core
 
 // pager.go is the demand-paging layer between the resident directory and the
 // heap: fault-in (with the directory's per-OID singleflight, so concurrent
-// faulters decode an image once), the eviction driver, and the heap-class
-// catalog — a small OID → class-name map mirroring the heap's committed
-// population so "iterate the directory ∪ heap" operations (InstancesOf,
-// Dump, integrity, index rebuild, Stats) know what lives on disk without
-// decoding it.
+// faulters decode an image once), the eviction driver, and the "directory ∪
+// heap" iterations. The heap's object table records each object's class, so
+// population-wide operations (InstancesOf, Dump, integrity, index rebuild,
+// Stats) know what lives on disk without decoding it.
 
 import (
 	"fmt"
@@ -15,6 +14,7 @@ import (
 	"sentinel/internal/object"
 	"sentinel/internal/obs"
 	"sentinel/internal/oid"
+	"sentinel/internal/schema"
 	"sentinel/internal/wal"
 )
 
@@ -144,55 +144,13 @@ func (db *Database) pagingEnabled() bool {
 	return db.store != nil && db.opts.MaxResidentObjects > 0
 }
 
-// ---- heap-class catalog ----
-
 // storeRecord writes one committed update (an image of class cls) or delete
-// to the heap and the heap-class catalog: the step the primary's commit and
-// the replica's apply share.
+// to the heap: the step the primary's commit and the replica's apply share.
 func (db *Database) storeRecord(r wal.Record, cls string) error {
 	if r.Type == wal.RecDelete {
-		if err := db.store.Delete(r.OID); err != nil {
-			return err
-		}
-		db.delHeapClass(r.OID)
-		return nil
+		return db.store.Delete(r.OID)
 	}
-	if err := db.store.Put(r.OID, r.Data); err != nil {
-		return err
-	}
-	db.setHeapClass(r.OID, cls)
-	return nil
-}
-
-// setHeapClass records that the heap now holds an instance of cls at id.
-func (db *Database) setHeapClass(id oid.OID, cls string) {
-	db.catMu.Lock()
-	if db.heapCat == nil {
-		db.heapCat = make(map[oid.OID]string)
-	}
-	if interned, ok := db.catNames[cls]; ok {
-		cls = interned
-	} else {
-		if db.catNames == nil {
-			db.catNames = make(map[string]string)
-		}
-		db.catNames[cls] = cls
-	}
-	db.heapCat[id] = cls
-	db.catMu.Unlock()
-}
-
-func (db *Database) delHeapClass(id oid.OID) {
-	db.catMu.Lock()
-	delete(db.heapCat, id)
-	db.catMu.Unlock()
-}
-
-// heapCatSize returns the committed heap population.
-func (db *Database) heapCatSize() int {
-	db.catMu.RLock()
-	defer db.catMu.RUnlock()
-	return len(db.heapCat)
+	return db.store.PutClass(r.OID, cls, r.Data)
 }
 
 // ---- directory ∪ heap iteration ----
@@ -250,7 +208,7 @@ func (db *Database) forEachLiveObject(fn func(id oid.OID, o *object.Object) erro
 
 // liveClassMap returns OID → class name over the full live population
 // (directory ∪ heap, tombstones excluded) without decoding heap images —
-// the catalog already knows their classes.
+// the heap's object table already knows their classes.
 func (db *Database) liveClassMap() map[oid.OID]string {
 	out := make(map[oid.OID]string)
 	tombs := make(map[oid.OID]bool)
@@ -264,13 +222,22 @@ func (db *Database) liveClassMap() map[oid.OID]string {
 	if db.store == nil {
 		return out
 	}
-	db.catMu.RLock()
-	for id, cls := range db.heapCat {
-		if _, resident := out[id]; resident || tombs[id] {
-			continue
+	for _, o := range db.store.Objects() {
+		if _, resident := out[o.ID]; !resident && !tombs[o.ID] {
+			out[o.ID] = o.Class
 		}
-		out[id] = cls
 	}
-	db.catMu.RUnlock()
 	return out
+}
+
+// heapSubclasses returns the set of classes heap objects belong to that are
+// c or inherit from it.
+func (db *Database) heapSubclasses(c *schema.Class) map[string]bool {
+	subs := make(map[string]bool)
+	for _, name := range db.store.Classes() {
+		if cc := db.reg.Lookup(name); cc != nil && cc.IsSubclassOf(c) {
+			subs[name] = true
+		}
+	}
+	return subs
 }

@@ -9,15 +9,19 @@ package core_test
 import (
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sentinel/internal/bench"
 	"sentinel/internal/core"
 	"sentinel/internal/oid"
 	"sentinel/internal/value"
+	"sentinel/internal/vfs"
 )
 
 func pagedOpts(dir string, maxResident int) core.Options {
@@ -209,6 +213,84 @@ func TestPagedCrashRecovery(t *testing.T) {
 		}
 	}
 	db2.MustBeConsistent()
+}
+
+// heapReadFS counts the bytes read from objects.dat.
+type heapReadFS struct {
+	vfs.FS
+	read atomic.Int64
+}
+
+func (fs *heapReadFS) OpenFile(path string, flag int, perm iofs.FileMode) (vfs.File, error) {
+	f, err := fs.FS.OpenFile(path, flag, perm)
+	if err != nil || filepath.Base(path) != "objects.dat" {
+		return f, err
+	}
+	return &heapReadFile{File: f, read: &fs.read}, nil
+}
+
+type heapReadFile struct {
+	vfs.File
+	read *atomic.Int64
+}
+
+func (f *heapReadFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.read.Add(int64(n))
+	return n, err
+}
+
+// TestReopenHeapPasses: a crash reopen reads objects.dat twice (the free-space
+// pass at open, then the page scan that rebuilds the object table with each
+// record's class), a clean reopen once. The pool is far smaller than the
+// file, so every pass really goes to the file.
+func TestReopenHeapPasses(t *testing.T) {
+	fs := &heapReadFS{FS: vfs.NewMem()}
+	opts := pagedOpts("db", 0)
+	opts.VFS, opts.PoolPages = fs, 8
+	db := core.MustOpen(opts)
+	ids := mkEmployees(t, db, 20000)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Atomically(func(tx *core.Tx) error {
+		return db.SetSys(tx, ids[0], "salary", value.Float(7))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CloseAbrupt(); err != nil {
+		t.Fatal(err)
+	}
+	reopen := func() (*core.Database, float64) {
+		t.Helper()
+		fs.read.Store(0)
+		db, err := core.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dat, err := fs.ReadFile("db/objects.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, float64(fs.read.Load()) / float64(len(dat))
+	}
+
+	db, crash := reopen()
+	if got := salaryOf(t, db, ids[0]); got != 7 {
+		t.Fatalf("salary after crash reopen = %v, want 7", got)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, clean := reopen()
+	defer db.Close()
+	t.Logf("objects.dat passes: crash reopen %.2f, clean reopen %.2f", crash, clean)
+	if crash > 2.1 {
+		t.Errorf("crash reopen read objects.dat %.2f times, want at most 2.1", crash)
+	}
+	if clean > 1.01 {
+		t.Errorf("clean reopen read objects.dat %.2f times, want 1.00", clean)
+	}
 }
 
 // TestPagedDeleteAndAbort: deleting a cold object faults it in, tombstones

@@ -20,22 +20,21 @@ import (
 
 // openStorage opens the heap and WAL, performs crash recovery (replaying
 // committed transactions logged after the last checkpoint into the heap),
-// establishes the heap-class catalog (from checkpoint metadata on a clean
-// open, by heap scan after recovery), materializes the *system* objects,
-// and rebuilds the runtime catalogs — DSL classes, named events, rules,
-// subscriptions and name bindings — from them. Application objects stay on
-// disk and fault in on first touch.
+// materializes the *system* objects, and rebuilds the runtime catalogs — DSL
+// classes, named events, rules, subscriptions and name bindings — from them.
+// Application objects stay on disk and fault in on first touch; the heap's
+// object table knows each one's class.
 func (db *Database) openStorage() error {
 	fsys := db.opts.VFS
 	if fsys == nil {
 		fsys = vfs.OS
 	}
-	store, err := heap.Open(db.opts.Dir, heap.Options{PoolPages: db.opts.PoolPages, VFS: fsys})
+	store, err := heap.Open(db.opts.Dir, heap.Options{PoolPages: db.opts.PoolPages, VFS: fsys, ClassOf: object.PeekClass})
 	if err != nil {
 		return err
 	}
 	db.store = store
-	catalogLoaded := db.loadMeta(store.Meta())
+	db.loadMeta(store.Meta())
 
 	log, err := wal.OpenOn(fsys, db.walPath())
 	if err != nil {
@@ -74,8 +73,8 @@ func (db *Database) openStorage() error {
 	// Redo recovery. First scan the log; any logged work means the side
 	// index cannot be trusted (a crash may have left it at the previous
 	// checkpoint while evictions advanced some pages), so the object table
-	// is rebuilt by a page scan — every record embeds its OID — before the
-	// committed transactions are re-applied.
+	// is rebuilt by a page scan — every record embeds its OID and class —
+	// before the committed transactions are re-applied.
 	var recs []wal.Record
 	hasWork := false
 	err = log.Replay(func(r wal.Record) error {
@@ -125,70 +124,24 @@ func (db *Database) openStorage() error {
 			db.replMu.Unlock()
 		}
 		// Uncommitted tails in `pending` are discarded (no-steal policy:
-		// they were never applied to the heap). Recovery changed the heap
-		// after the checkpoint, so the persisted catalog is stale.
-		catalogLoaded = false
+		// they were never applied to the heap).
 	}
 
-	// The catalog must mirror the heap's object table exactly; rebuild it
-	// by page scan when the checkpoint copy is missing, stale, or does not
-	// match the table (pre-paging checkpoints, recovery).
-	rebuiltCatalog := !catalogLoaded || db.heapCatSize() != store.Len()
-	if rebuiltCatalog {
-		if err := db.buildCatalogFromScan(); err != nil {
-			return err
-		}
+	for _, o := range store.Objects() {
+		db.alloc.Advance(o.ID)
 	}
-	db.catMu.RLock()
-	var maxOID oid.OID
-	for id := range db.heapCat {
-		if id > maxOID {
-			maxOID = id
-		}
-	}
-	db.catMu.RUnlock()
-	db.alloc.Advance(maxOID)
 
 	if err := db.loadSystemObjects(); err != nil {
 		return err
 	}
 
 	// Start the next epoch from a clean checkpoint when recovery changed
-	// anything (which also persists the rebuilt catalog for the next
-	// open). A clean open — empty WAL, catalog straight from the last
-	// checkpoint — is already that checkpoint; skipping the rewrite keeps
-	// cold opens at index-read + system-object cost.
-	if hasWork || rebuiltCatalog {
+	// anything. A clean open — empty WAL — is already that checkpoint;
+	// skipping the rewrite keeps cold opens at index-read + system-object
+	// cost.
+	if hasWork {
 		return db.Checkpoint()
 	}
-	return nil
-}
-
-// buildCatalogFromScan rebuilds the heap-class catalog by scanning every
-// live record and peeking its class name (no full decode).
-func (db *Database) buildCatalogFromScan() error {
-	cat := make(map[oid.OID]string)
-	names := make(map[string]string)
-	err := db.store.Scan(func(id oid.OID, data []byte) error {
-		cls, err := object.PeekClass(data)
-		if err != nil {
-			return fmt.Errorf("core: object %s: %w", id, err)
-		}
-		if interned, ok := names[cls]; ok {
-			cls = interned
-		} else {
-			names[cls] = cls
-		}
-		cat[id] = cls
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	db.catMu.Lock()
-	db.heapCat = cat
-	db.catNames = names
-	db.catMu.Unlock()
 	return nil
 }
 
@@ -200,13 +153,11 @@ func (db *Database) buildCatalogFromScan() error {
 // rules → subscriptions → names → secondary indexes.
 func (db *Database) loadSystemObjects() error {
 	byClass := make(map[string][]oid.OID)
-	db.catMu.RLock()
-	for id, cls := range db.heapCat {
-		if IsSystemClass(cls) {
-			byClass[cls] = append(byClass[cls], id)
+	for _, o := range db.store.Objects() {
+		if IsSystemClass(o.Class) {
+			byClass[o.Class] = append(byClass[o.Class], o.ID)
 		}
 	}
-	db.catMu.RUnlock()
 	for _, ids := range byClass {
 		value.SortRefs(ids)
 	}
@@ -221,7 +172,7 @@ func (db *Database) loadSystemObjects() error {
 				return err
 			}
 			if !ok {
-				return fmt.Errorf("core: catalog lists %s instance %s missing from heap", cls, id)
+				return fmt.Errorf("core: %s instance %s missing from heap", cls, id)
 			}
 			o, err := object.Decode(id, img, db.reg)
 			if err != nil {
@@ -253,17 +204,10 @@ func (db *Database) loadSystemObjects() error {
 	// Pass 3: fail fast on unregistered classes. The old eager open failed
 	// while decoding; the lazy open must not defer that surprise to an
 	// arbitrary later fault-in.
-	db.catMu.RLock()
-	missing := ""
-	for _, cls := range db.heapCat {
+	for _, cls := range db.store.Classes() {
 		if db.reg.Lookup(cls) == nil {
-			missing = cls
-			break
+			return fmt.Errorf("core: heap contains instances of unregistered class %q (register it in Options.Schema)", cls)
 		}
-	}
-	db.catMu.RUnlock()
-	if missing != "" {
-		return fmt.Errorf("core: heap contains instances of unregistered class %q (register it in Options.Schema)", missing)
 	}
 
 	// Pass 4: named events (before rules, which may reference them).
@@ -529,9 +473,9 @@ func (db *Database) rebuildRule(o *object.Object) error {
 	return nil
 }
 
-// Checkpoint flushes committed state to the heap, writes the object-table
-// index and metadata (including the heap-class catalog) atomically, and
-// truncates the WAL. After a checkpoint, recovery restarts from this state.
+// Checkpoint flushes committed state to the heap, writes the object table
+// (with each object's class) and the metadata atomically, and truncates the
+// WAL. After a checkpoint, recovery restarts from this state.
 // It holds ckptMu exclusively so no commit can append WAL records between
 // the heap flush and the log truncation (those records would vanish), and
 // refuses with ErrHeapBehind once the heap lags the log: truncating then

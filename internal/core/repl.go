@@ -168,7 +168,6 @@ type ReplBaseObject struct {
 // fresh (or lagged-beyond-the-ring) follower installs before streaming.
 type ReplBaseState struct {
 	LSN     uint64 // the replication LSN the images correspond to
-	Meta    []byte // checkpoint meta blob (OID high-water, clock, catalog)
 	Objects []ReplBaseObject
 }
 
@@ -189,10 +188,7 @@ func (db *Database) ReplBaseState() (*ReplBaseState, error) {
 	if err := db.heapErr(); err != nil {
 		return nil, err
 	}
-	db.mu.RLock()
-	meta := db.metaBlob()
-	db.mu.RUnlock()
-	st := &ReplBaseState{LSN: db.ReplLSN(), Meta: meta}
+	st := &ReplBaseState{LSN: db.ReplLSN()}
 	err := db.store.Scan(func(id oid.OID, data []byte) error {
 		img := make([]byte, len(data))
 		copy(img, data)
@@ -230,13 +226,11 @@ func (db *Database) ApplyBaseState(lsn uint64, objs []ReplBaseObject) error {
 		keep[o.ID] = true
 		recs = append(recs, wal.Record{Type: wal.RecUpdate, OID: o.ID, Data: o.Img})
 	}
-	db.catMu.RLock()
-	for id := range db.heapCat {
-		if !keep[id] {
-			recs = append(recs, wal.Record{Type: wal.RecDelete, OID: id})
+	for _, o := range db.store.Objects() {
+		if !keep[o.ID] {
+			recs = append(recs, wal.Record{Type: wal.RecDelete, OID: o.ID})
 		}
 	}
-	db.catMu.RUnlock()
 	classDef := value.AppendValue(nil, value.Str(SysClassDefClass)) // every __ClassDef image starts so
 	slices.SortFunc(recs, func(a, b wal.Record) int {
 		if ca, cb := bytes.HasPrefix(a.Data, classDef), bytes.HasPrefix(b.Data, classDef); ca != cb {

@@ -187,7 +187,7 @@ func TestReplicaAppliesEvolve(t *testing.T) {
 
 // TestSameScriptSameBytes: one multi-object script run twice on fresh
 // in-memory file systems writes byte-identical WAL, heap and object-table
-// files (the last carries the checkpoint's heap-class catalog).
+// files (the last carries each object's class).
 func TestSameScriptSameBytes(t *testing.T) {
 	run := func() map[string][]byte {
 		fs := vfs.NewMem()

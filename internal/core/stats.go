@@ -209,7 +209,7 @@ func (db *Database) detachedStats() DetachedStats {
 
 // countObjects computes the resident and total (directory ∪ heap) live
 // populations: residents are directory entries minus tombstones, the total
-// adds catalog entries with no directory presence (a tombstone shadows its
+// adds heap objects with no directory presence (a tombstone shadows its
 // heap image — the delete is in flight).
 func (db *Database) countObjects() (resident, total int) {
 	present := make(map[oid.OID]bool)
@@ -221,13 +221,11 @@ func (db *Database) countObjects() (resident, total int) {
 	})
 	total = resident
 	if db.store != nil {
-		db.catMu.RLock()
-		for id := range db.heapCat {
-			if !present[id] {
+		for _, o := range db.store.Objects() {
+			if !present[o.ID] {
 				total++
 			}
 		}
-		db.catMu.RUnlock()
 	}
 	return resident, total
 }

@@ -557,7 +557,7 @@ func (db *Database) SetSys(t *Tx, id oid.OID, attr string, v value.Value) error 
 // InstancesOf returns the OIDs of all live instances of the named class and
 // its subclasses, sorted. The result is the union of the resident directory
 // (which sees uncommitted creates and hides uncommitted deletes) and the
-// heap-class catalog (committed cold objects), so it is identical whether
+// heap's object table (committed cold objects), so it is identical whether
 // an instance is resident or evicted.
 func (db *Database) InstancesOf(class string) []oid.OID {
 	c := db.reg.Lookup(class)
@@ -573,23 +573,12 @@ func (db *Database) InstancesOf(class string) []oid.OID {
 		}
 	})
 	if db.store != nil {
-		isSub := make(map[string]bool)
-		db.catMu.RLock()
-		for id, cls := range db.heapCat {
-			if present[id] {
-				continue
-			}
-			sub, cached := isSub[cls]
-			if !cached {
-				cc := db.reg.Lookup(cls)
-				sub = cc != nil && cc.IsSubclassOf(c)
-				isSub[cls] = sub
-			}
-			if sub {
-				out = append(out, id)
+		subs := db.heapSubclasses(c)
+		for _, o := range db.store.Objects() {
+			if subs[o.Class] && !present[o.ID] {
+				out = append(out, o.ID)
 			}
 		}
-		db.catMu.RUnlock()
 	}
 	value.SortRefs(out)
 	return out

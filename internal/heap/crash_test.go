@@ -61,8 +61,8 @@ func TestCheckpointMetaSurvivesMetadataCrash(t *testing.T) {
 			if got := r.Meta(); !bytes.Equal(got, meta) {
 				t.Fatalf("meta after %v crash = %q, want %q", mode, got, meta)
 			}
-			if r.Len() != 10 {
-				t.Fatalf("object table after %v crash has %d entries, want 10", mode, r.Len())
+			if len(r.table) != 10 {
+				t.Fatalf("object table after %v crash has %d entries, want 10", mode, len(r.table))
 			}
 			img, ok, err := r.Get(oid.OID(7))
 			if err != nil || !ok || string(img) != "object-7" {
@@ -115,7 +115,7 @@ func TestPreFixSaveIndexLosesMeta(t *testing.T) {
 	if got := r.Meta(); len(got) != 0 {
 		t.Fatalf("meta = %q, want lost (empty) under the pre-fix sequence", got)
 	}
-	if r.Len() != 1 {
-		t.Fatalf("rebuilt table has %d entries, want 1", r.Len())
+	if len(r.table) != 1 {
+		t.Fatalf("rebuilt table has %d entries, want 1", len(r.table))
 	}
 }

@@ -1,12 +1,13 @@
 // Package heap implements the heap file: persistent storage of object
 // images in slotted pages, addressed by OID through a persistent object
-// table.
+// table that also records each object's class.
 //
 // Every record is stored as uvarint(oid) + image, so the object table can
-// always be rebuilt by scanning the pages; the table is also checkpointed
-// into a side file (atomically, via rename) to make reopening fast. An
-// opaque metadata blob (the OID high-water mark, the logical clock, catalog
-// roots) rides along in the checkpoint for the layers above.
+// always be rebuilt by scanning the pages (reading each image's class with
+// Options.ClassOf); the table is also checkpointed into a side file
+// (atomically, via rename) to make reopening fast. An opaque metadata blob
+// (the OID high-water mark, the logical clock, catalog roots) rides along in
+// the checkpoint for the layers above.
 package heap
 
 import (
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -25,30 +27,43 @@ import (
 	"sentinel/internal/vfs"
 )
 
-// RID is a record identifier: page + slot.
-type RID struct {
-	Page page.ID
-	Slot int
+// entry is one object-table row: where the record lives and its class.
+type entry struct {
+	page page.ID
+	slot uint16 // a page.Size page holds far fewer than 1<<16 slots
+	cls  uint32 // index into Store.classes
+}
+
+// class is one interned class name and the number of live objects of it.
+// Ids are never reused while the store is open; a page-scan rebuild starts
+// the table afresh.
+type class struct {
+	name string
+	live int
 }
 
 // Store is the heap file plus its object table.
 type Store struct {
-	mu    sync.Mutex
-	fs    vfs.FS
-	pf    *buffer.File
-	pool  *buffer.Pool
-	table map[oid.OID]RID
-	free  freeMap // largest record each page would accept
-	muts  uint64  // Puts and Deletes so far; lets Scan tell it ran undisturbed
-	meta  []byte
-	dir   string
+	mu      sync.Mutex
+	fs      vfs.FS
+	pf      *buffer.File
+	pool    *buffer.Pool
+	table   map[oid.OID]entry
+	classes []class
+	classID map[string]uint32
+	classOf func(img []byte) (string, error)
+	free    freeMap // largest record each page would accept
+	muts    uint64  // Puts and Deletes so far; lets Scan tell it ran undisturbed
+	meta    []byte
+	dir     string
 }
 
 const (
-	dataFile   = "objects.dat"
-	indexFile  = "objects.idx"
-	indexTmp   = "objects.idx.tmp"
-	indexMagic = 0x53454E54 // "SENT"
+	dataFile     = "objects.dat"
+	indexFile    = "objects.idx"
+	indexTmp     = "objects.idx.tmp"
+	indexMagicV1 = 0x53454E54 // "SENT": meta + table without classes
+	indexMagic   = 0x53454E32 // v2: meta + class names + table with classes
 )
 
 // Options configures Open.
@@ -57,6 +72,9 @@ type Options struct {
 	PoolPages int
 	// VFS is the filesystem the store runs on (default: the OS).
 	VFS vfs.FS
+	// ClassOf reads the class name from an object image. Put and the
+	// table rebuild by page scan use it; without it every class is "".
+	ClassOf func(img []byte) (string, error)
 }
 
 // Open opens (or creates) a heap store in dir.
@@ -74,12 +92,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.PoolPages == 0 {
 		opts.PoolPages = 256
 	}
+	if opts.ClassOf == nil {
+		opts.ClassOf = func([]byte) (string, error) { return "", nil }
+	}
 	s := &Store{
-		fs:    opts.VFS,
-		pf:    pf,
-		pool:  buffer.NewPool(pf, opts.PoolPages),
-		table: make(map[oid.OID]RID),
-		dir:   dir,
+		fs:      opts.VFS,
+		pf:      pf,
+		pool:    buffer.NewPool(pf, opts.PoolPages),
+		classOf: opts.ClassOf,
+		dir:     dir,
 	}
 	if err := s.loadIndex(); err != nil {
 		pf.Close()
@@ -106,37 +127,22 @@ func (s *Store) Meta() []byte {
 	return append([]byte(nil), s.meta...)
 }
 
-// Len returns the number of live objects.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.table)
-}
-
-// Has reports whether the OID is present.
-func (s *Store) Has(id oid.OID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.table[id]
-	return ok
-}
-
 // Get returns the stored image for id (a copy), or ok=false.
 func (s *Store) Get(id oid.OID) ([]byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rid, ok := s.table[id]
+	e, ok := s.table[id]
 	if !ok {
 		return nil, false, nil
 	}
-	pg, err := s.pool.Pin(rid.Page)
+	pg, err := s.pool.Pin(e.page)
 	if err != nil {
 		return nil, false, err
 	}
-	defer s.pool.Unpin(rid.Page, false)
-	rec, ok := pg.Read(rid.Slot)
+	defer s.pool.Unpin(e.page, false)
+	rec, ok := pg.Read(int(e.slot))
 	if !ok {
-		return nil, false, fmt.Errorf("heap: object table points at dead slot %v for %s", rid, id)
+		return nil, false, fmt.Errorf("heap: object table points at dead slot %d:%d for %s", e.page, e.slot, id)
 	}
 	_, img, err := splitRecord(rec)
 	if err != nil {
@@ -145,8 +151,18 @@ func (s *Store) Get(id oid.OID) ([]byte, bool, error) {
 	return append([]byte(nil), img...), true, nil
 }
 
-// Put inserts or replaces the image for id.
+// Put inserts or replaces the image for id, reading its class with
+// Options.ClassOf.
 func (s *Store) Put(id oid.OID, img []byte) error {
+	cls, err := s.classOf(img)
+	if err != nil {
+		return fmt.Errorf("heap: object %s: %w", id, err)
+	}
+	return s.PutClass(id, cls, img)
+}
+
+// PutClass inserts or replaces the image for id, an object of class cls.
+func (s *Store) PutClass(id oid.OID, cls string, img []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.muts++
@@ -154,32 +170,35 @@ func (s *Store) Put(id oid.OID, img []byte) error {
 	if len(rec) > page.MaxRecord {
 		return fmt.Errorf("heap: object %s image of %d bytes exceeds page capacity", id, len(img))
 	}
-	if rid, ok := s.table[id]; ok {
-		pg, err := s.pool.Pin(rid.Page)
+	c := s.intern(cls)
+	if e, ok := s.table[id]; ok {
+		pg, err := s.pool.Pin(e.page)
 		if err != nil {
 			return err
 		}
-		fits := pg.Update(rid.Slot, rec)
+		fits := pg.Update(int(e.slot), rec)
 		if !fits {
 			// Doesn't fit here any more: delete and relocate.
-			pg.Delete(rid.Slot)
+			pg.Delete(int(e.slot))
 		}
-		s.free.set(rid.Page, pg.Reclaimable())
-		s.pool.Unpin(rid.Page, true)
+		s.free.set(e.page, pg.Reclaimable())
+		s.pool.Unpin(e.page, true)
 		if fits {
+			e.cls = c
+			s.set(id, e)
 			return nil
 		}
-		delete(s.table, id)
+		s.unset(id)
 	}
-	return s.insertLocked(id, rec)
+	return s.insertLocked(id, c, rec)
 }
 
 // insertLocked places rec on the lowest-numbered page with room for it, or
 // on a fresh page when none has.
-func (s *Store) insertLocked(id oid.OID, rec []byte) error {
+func (s *Store) insertLocked(id oid.OID, c uint32, rec []byte) error {
 	pid, found := s.free.first(0, len(rec))
 	for found {
-		ok, err := s.insertOn(pid, id, rec)
+		ok, err := s.insertOn(pid, id, c, rec)
 		if ok || err != nil {
 			return err
 		}
@@ -189,7 +208,7 @@ func (s *Store) insertLocked(id oid.OID, rec []byte) error {
 	if err != nil {
 		return err
 	}
-	ok, err := s.insertOn(pid, id, rec)
+	ok, err := s.insertOn(pid, id, c, rec)
 	if err == nil && !ok {
 		err = fmt.Errorf("heap: record of %d bytes does not fit a fresh page", len(rec))
 	}
@@ -197,7 +216,7 @@ func (s *Store) insertLocked(id oid.OID, rec []byte) error {
 }
 
 // insertOn tries to store rec on page pid and refreshes the page's hint.
-func (s *Store) insertOn(pid page.ID, id oid.OID, rec []byte) (bool, error) {
+func (s *Store) insertOn(pid page.ID, id oid.OID, c uint32, rec []byte) (bool, error) {
 	pg, err := s.pool.Pin(pid)
 	if err != nil {
 		return false, err
@@ -206,7 +225,7 @@ func (s *Store) insertOn(pid page.ID, id oid.OID, rec []byte) (bool, error) {
 	s.free.set(pid, pg.Reclaimable())
 	s.pool.Unpin(pid, ok)
 	if ok {
-		s.table[id] = RID{Page: pid, Slot: slot}
+		s.set(id, entry{page: pid, slot: uint16(slot), cls: c})
 	}
 	return ok, nil
 }
@@ -215,20 +234,83 @@ func (s *Store) insertOn(pid page.ID, id oid.OID, rec []byte) (bool, error) {
 func (s *Store) Delete(id oid.OID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rid, ok := s.table[id]
+	e, ok := s.table[id]
 	if !ok {
 		return nil
 	}
 	s.muts++
-	pg, err := s.pool.Pin(rid.Page)
+	pg, err := s.pool.Pin(e.page)
 	if err != nil {
 		return err
 	}
-	pg.Delete(rid.Slot)
-	s.free.set(rid.Page, pg.Reclaimable())
-	s.pool.Unpin(rid.Page, true)
-	delete(s.table, id)
+	pg.Delete(int(e.slot))
+	s.free.set(e.page, pg.Reclaimable())
+	s.pool.Unpin(e.page, true)
+	s.unset(id)
 	return nil
+}
+
+// intern returns the id of class name, adding it when new.
+func (s *Store) intern(name string) uint32 {
+	if c, ok := s.classID[name]; ok {
+		return c
+	}
+	c := uint32(len(s.classes))
+	s.classes = append(s.classes, class{name: name})
+	s.classID[name] = c
+	return c
+}
+
+// set points id's table row at e, keeping the per-class live counts.
+func (s *Store) set(id oid.OID, e entry) {
+	if old, ok := s.table[id]; ok {
+		s.classes[old.cls].live--
+	}
+	s.classes[e.cls].live++
+	s.table[id] = e
+}
+
+// unset drops id's table row, keeping the per-class live counts.
+func (s *Store) unset(id oid.OID) {
+	if old, ok := s.table[id]; ok {
+		s.classes[old.cls].live--
+		delete(s.table, id)
+	}
+}
+
+// Object is one live object of the object table.
+type Object struct {
+	ID    oid.OID
+	Class string
+}
+
+// Objects returns every live object with its class, in no particular order.
+func (s *Store) Objects() []Object {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]Object, 0, len(s.table))
+	for id, e := range s.table {
+		out = append(out, Object{id, s.classes[e.cls].name})
+	}
+	return out
+}
+
+// Classes returns the names of the classes live objects belong to, sorted.
+func (s *Store) Classes() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.liveClassesLocked()
+}
+
+func (s *Store) liveClassesLocked() []string {
+	var out []string
+	for _, c := range s.classes {
+		if c.live > 0 {
+			out = append(out, c.name)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Scan calls fn for every live object, page by page in page order: one pin
@@ -237,7 +319,7 @@ func (s *Store) Delete(id oid.OID) error {
 // retain or mutate it. The store is locked while a page is copied, never
 // across fn, so fn may call back into the store; objects put or deleted
 // while the scan runs may or may not be reported. Scan is for bulk read
-// passes (catalog and index rebuilds, dumps, integrity sweeps).
+// passes (index rebuilds, dumps, integrity sweeps, base-state captures).
 func (s *Store) Scan(fn func(id oid.OID, img []byte) error) error {
 	type record struct {
 		id  oid.OID
@@ -273,7 +355,8 @@ func (s *Store) Scan(fn func(id oid.OID, img []byte) error) error {
 		// crash between a relocation's two page writes; skip it.
 		recs = recs[:0]
 		view.LiveRecords(func(slot int, rec []byte) {
-			if id, img, err := splitRecord(rec); err == nil && s.table[id] == (RID{Page: pid, Slot: slot}) {
+			id, img, err := splitRecord(rec)
+			if e, ok := s.table[id]; err == nil && ok && e.page == pid && int(e.slot) == slot {
 				recs = append(recs, record{id, img})
 			}
 		})
@@ -314,6 +397,19 @@ func splitRecord(rec []byte) (oid.OID, []byte, error) {
 }
 
 // ---- index persistence ----
+//
+// objects.idx (v2), every integer a uvarint unless noted:
+//
+//	u32 LE  magic 0x53454E32
+//	        len(meta), meta
+//	        nClasses, then per class: len(name), name   — sorted, live classes only
+//	        nEntries, then per entry: oid, page, slot, class index — ascending oid
+//	u32 LE  CRC-32C of everything before it
+//
+// A v1 file (magic 0x53454E54) has the same frame and meta but entries of
+// oid, page, slot and no class names; its meta is kept and its table is
+// rebuilt by page scan. A missing, corrupt or malformed file is rebuilt by
+// page scan too, with no meta.
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -322,6 +418,14 @@ func (s *Store) writeIndexLocked() error {
 	buf = binary.LittleEndian.AppendUint32(buf, indexMagic)
 	buf = binary.AppendUvarint(buf, uint64(len(s.meta)))
 	buf = append(buf, s.meta...)
+	names := s.liveClassesLocked()
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	pos := make([]uint64, len(s.classes))
+	for i, name := range names {
+		pos[s.classID[name]] = uint64(i)
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
+		buf = append(buf, name...)
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.table)))
 	ids := make([]oid.OID, 0, len(s.table))
 	for id := range s.table {
@@ -329,10 +433,11 @@ func (s *Store) writeIndexLocked() error {
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		rid := s.table[id]
+		e := s.table[id]
 		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = binary.AppendUvarint(buf, uint64(rid.Page))
-		buf = binary.AppendUvarint(buf, uint64(rid.Slot))
+		buf = binary.AppendUvarint(buf, uint64(e.page))
+		buf = binary.AppendUvarint(buf, uint64(e.slot))
+		buf = binary.AppendUvarint(buf, pos[e.cls])
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 
@@ -363,58 +468,88 @@ func (s *Store) loadIndex() error {
 		return fmt.Errorf("heap: read index: %w", err)
 	}
 	if len(data) < 8 ||
-		binary.LittleEndian.Uint32(data[:4]) != indexMagic ||
 		binary.LittleEndian.Uint32(data[len(data)-4:]) != crc32.Checksum(data[:len(data)-4], castagnoli) {
 		// Corrupt index: fall back to a page scan.
 		return s.rebuildIndex()
 	}
-	buf := data[4 : len(data)-4]
-	ml, n := binary.Uvarint(buf)
-	if n <= 0 || uint64(len(buf)-n) < ml {
+	r := reader{buf: data[4 : len(data)-4]}
+	meta := r.bytes()
+	switch binary.LittleEndian.Uint32(data[:4]) {
+	case indexMagicV1:
+		if !r.bad {
+			s.meta = append([]byte(nil), meta...)
+		}
 		return s.rebuildIndex()
-	}
-	s.meta = append([]byte(nil), buf[n:n+int(ml)]...)
-	buf = buf[n+int(ml):]
-	cnt, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return s.rebuildIndex()
-	}
-	buf = buf[n:]
-	for i := uint64(0); i < cnt; i++ {
-		id, n1 := binary.Uvarint(buf)
-		if n1 <= 0 {
+	case indexMagic:
+		if !s.decodeTable(&r) {
 			return s.rebuildIndex()
 		}
-		pid, n2 := binary.Uvarint(buf[n1:])
-		if n2 <= 0 {
-			return s.rebuildIndex()
-		}
-		slot, n3 := binary.Uvarint(buf[n1+n2:])
-		if n3 <= 0 {
-			return s.rebuildIndex()
-		}
-		s.table[oid.OID(id)] = RID{Page: page.ID(pid), Slot: int(slot)}
-		buf = buf[n1+n2+n3:]
+		s.meta = append([]byte(nil), meta...)
+		return s.scanFreeSpace()
 	}
-	return s.scanFreeSpace()
+	return s.rebuildIndex()
+}
+
+// decodeTable installs the class names and object table of a v2 index,
+// reporting false (and installing nothing) when they are malformed.
+func (s *Store) decodeTable(r *reader) bool {
+	classes := make([]class, r.count(1))
+	classID := make(map[string]uint32, len(classes))
+	for i := range classes {
+		name := string(r.bytes())
+		if i > 0 && name <= classes[i-1].name {
+			return false // names are written sorted and unique
+		}
+		classes[i].name = name
+		classID[name] = uint32(i)
+	}
+	n := r.count(4)
+	table := make(map[oid.OID]entry, n)
+	var last uint64
+	for i := 0; i < n; i++ {
+		id, pid, slot, c := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
+		if r.bad || (i > 0 && id <= last) || pid > math.MaxUint32 || slot > math.MaxUint16 || c >= uint64(len(classes)) {
+			return false
+		}
+		last = id
+		classes[c].live++
+		table[oid.OID(id)] = entry{page: page.ID(pid), slot: uint16(slot), cls: uint32(c)}
+	}
+	if r.bad || len(r.buf) != 0 {
+		return false
+	}
+	s.table, s.classes, s.classID = table, classes, classID
+	return true
 }
 
 // rebuildIndex reconstructs the object table by scanning every page.
 func (s *Store) rebuildIndex() error {
-	s.table = make(map[oid.OID]RID)
+	s.table = make(map[oid.OID]entry)
+	s.classes, s.classID = nil, make(map[string]uint32)
 	s.free = freeMap{}
 	for pid := page.ID(0); pid < s.pf.NumPages(); pid++ {
 		pg, err := s.pool.Pin(pid)
 		if err != nil {
 			return err
 		}
+		var bad error
 		pg.LiveRecords(func(slot int, rec []byte) {
-			if id, _, err := splitRecord(rec); err == nil {
-				s.table[id] = RID{Page: pid, Slot: slot}
+			id, img, err := splitRecord(rec)
+			if err != nil || bad != nil {
+				return
 			}
+			cls, err := s.classOf(img)
+			if err != nil {
+				bad = fmt.Errorf("heap: object %s: %w", id, err)
+				return
+			}
+			s.set(id, entry{page: pid, slot: uint16(slot), cls: s.intern(cls)})
 		})
 		s.free.set(pid, pg.Reclaimable())
 		s.pool.Unpin(pid, false)
+		if bad != nil {
+			return bad
+		}
 	}
 	return nil
 }
@@ -448,4 +583,47 @@ func (s *Store) Rescan() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rebuildIndex()
+}
+
+// reader decodes an index file. The first malformed or out-of-bounds field
+// marks it bad, and every read after that returns zero.
+type reader struct {
+	buf []byte
+	bad bool
+}
+
+func (r *reader) fail() {
+	r.bad, r.buf = true, nil
+}
+
+func (r *reader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.buf)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
+
+func (r *reader) bytes() []byte {
+	l := r.uvarint()
+	if l > uint64(len(r.buf)) {
+		r.fail()
+		return nil
+	}
+	b := r.buf[:l]
+	r.buf = r.buf[l:]
+	return b
+}
+
+// count reads an element count, bounded by the bytes left: each element
+// takes at least min of them.
+func (r *reader) count(min int) int {
+	c := r.uvarint()
+	if c > uint64(len(r.buf)/min) {
+		r.fail()
+		return 0
+	}
+	return int(c)
 }

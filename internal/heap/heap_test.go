@@ -33,11 +33,11 @@ func TestPutGetDelete(t *testing.T) {
 	if err != nil || !ok || string(got) != "hello" {
 		t.Fatalf("Get = %q, %v, %v", got, ok, err)
 	}
-	if !s.Has(1) || s.Has(2) {
-		t.Error("Has wrong")
+	if _, ok, _ := s.Get(2); ok {
+		t.Error("Get of an absent object reported ok")
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
+	if len(s.table) != 1 {
+		t.Errorf("Len = %d", len(s.table))
 	}
 	// Overwrite.
 	if err := s.Put(1, []byte("world, a longer record")); err != nil {
@@ -69,8 +69,8 @@ func TestManyObjectsAcrossPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() != n {
-		t.Fatalf("Len = %d, want %d", s.Len(), n)
+	if len(s.table) != n {
+		t.Fatalf("Len = %d, want %d", len(s.table), n)
 	}
 	for i := 1; i <= n; i++ {
 		got, ok, err := s.Get(oid.OID(i))
@@ -132,8 +132,8 @@ func TestCheckpointAndReopen(t *testing.T) {
 	if !bytes.Equal(s2.Meta(), meta) {
 		t.Fatalf("meta = %q", s2.Meta())
 	}
-	if s2.Len() != 100 {
-		t.Fatalf("Len after reopen = %d", s2.Len())
+	if len(s2.table) != 100 {
+		t.Fatalf("Len after reopen = %d", len(s2.table))
 	}
 	got, ok, _ := s2.Get(42)
 	if !ok || string(got) != "obj-42" {
@@ -159,8 +159,8 @@ func TestReopenWithoutIndexScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 50 {
-		t.Fatalf("rebuilt Len = %d", s2.Len())
+	if len(s2.table) != 50 {
+		t.Fatalf("rebuilt Len = %d", len(s2.table))
 	}
 	got, ok, _ := s2.Get(7)
 	if !ok || string(got) != "v-7" {
@@ -187,8 +187,8 @@ func TestCorruptIndexFallsBackToScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 20 {
-		t.Fatalf("Len after corrupt index = %d", s2.Len())
+	if len(s2.table) != 20 {
+		t.Fatalf("Len after corrupt index = %d", len(s2.table))
 	}
 }
 
@@ -221,12 +221,12 @@ func TestRescanMatchesTable(t *testing.T) {
 	for i := 1; i <= 200; i += 3 {
 		s.Delete(oid.OID(i))
 	}
-	before := s.Len()
+	before := len(s.table)
 	if err := s.Rescan(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != before {
-		t.Fatalf("rescan changed Len: %d -> %d", before, s.Len())
+	if len(s.table) != before {
+		t.Fatalf("rescan changed Len: %d -> %d", before, len(s.table))
 	}
 	for i := 1; i <= 200; i++ {
 		_, ok, _ := s.Get(oid.OID(i))
@@ -291,8 +291,8 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 		}
 	}
 	// Final verification.
-	if s.Len() != len(model) {
-		t.Fatalf("Len = %d, model = %d", s.Len(), len(model))
+	if len(s.table) != len(model) {
+		t.Fatalf("Len = %d, model = %d", len(s.table), len(model))
 	}
 	for id, want := range model {
 		got, ok, _ := s.Get(id)
@@ -303,18 +303,26 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 	s.Close()
 }
 
+// rid is a record's place: page + slot.
+type rid struct {
+	Page page.ID
+	Slot int
+}
+
+func ridOf(e entry) rid { return rid{e.page, int(e.slot)} }
+
 // scanPlacer is the placement algorithm the free-space map replaced, kept as
 // the reference the store is compared against: a free-byte hint per page in
 // a map, and on every insert a scan of all hints, a sort of the candidates
 // and first fit among them.
 type scanPlacer struct {
 	pages []*page.Page
-	table map[oid.OID]RID
+	table map[oid.OID]rid
 	free  map[page.ID]int
 }
 
 func newScanPlacer() *scanPlacer {
-	return &scanPlacer{table: map[oid.OID]RID{}, free: map[page.ID]int{}}
+	return &scanPlacer{table: map[oid.OID]rid{}, free: map[page.ID]int{}}
 }
 
 func (r *scanPlacer) put(id oid.OID, img []byte) {
@@ -340,7 +348,7 @@ func (r *scanPlacer) put(id oid.OID, img []byte) {
 		slot, ok := r.pages[pid].Insert(rec)
 		r.free[pid] = r.pages[pid].Reclaimable()
 		if ok {
-			r.table[id] = RID{Page: pid, Slot: slot}
+			r.table[id] = rid{Page: pid, Slot: slot}
 			return
 		}
 	}
@@ -350,7 +358,7 @@ func (r *scanPlacer) put(id oid.OID, img []byte) {
 	r.pages = append(r.pages, pg)
 	slot, _ := pg.Insert(rec)
 	r.free[pid] = pg.Reclaimable()
-	r.table[id] = RID{Page: pid, Slot: slot}
+	r.table[id] = rid{Page: pid, Slot: slot}
 }
 
 func (r *scanPlacer) del(id oid.OID) {
@@ -388,7 +396,7 @@ func TestPlacementMatchesFirstFitScan(t *testing.T) {
 				}
 				ref.del(id)
 			}
-			if got, want := s.table[id], ref.table[id]; got != want {
+			if got, want := ridOf(s.table[id]), ref.table[id]; got != want {
 				t.Fatalf("seed %d op %d: object %d placed at %v, reference says %v", seed, op, id, got, want)
 			}
 		}
@@ -396,7 +404,7 @@ func TestPlacementMatchesFirstFitScan(t *testing.T) {
 			t.Fatalf("seed %d: store holds %d objects, reference %d", seed, len(s.table), len(ref.table))
 		}
 		for id, want := range ref.table {
-			if got := s.table[id]; got != want {
+			if got := ridOf(s.table[id]); got != want {
 				t.Fatalf("seed %d: object %d at %v, reference says %v", seed, id, got, want)
 			}
 		}
@@ -464,7 +472,7 @@ func TestScanPageOrder(t *testing.T) {
 		if !bytes.Equal(img, model[id]) {
 			t.Fatalf("object %d: scan image differs from the last Put", id)
 		}
-		if pid := s.table[id].Page; pid < last {
+		if pid := s.table[id].page; pid < last {
 			t.Fatalf("object %d on page %d reported after page %d", id, pid, last)
 		} else {
 			last = pid
@@ -482,7 +490,7 @@ func TestScanPageOrder(t *testing.T) {
 		t.Fatalf("scan reported %d objects, model has %d", len(seen), len(model))
 	}
 	// A table entry no page backs is reported, not silently skipped.
-	s.table[9999] = RID{Page: 0, Slot: 9999}
+	s.table[9999] = entry{page: 0, slot: 9999}
 	if err := s.Scan(func(oid.OID, []byte) error { return nil }); err == nil {
 		t.Fatal("scan over a table entry pointing at no record returned nil")
 	}

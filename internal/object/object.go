@@ -182,8 +182,9 @@ func Decode(id oid.OID, buf []byte, reg *schema.Registry) (*Object, error) {
 	return o, nil
 }
 
-// PeekClass reads just the class name from an encoded image, letting the
-// loader order decoding by class without a registry.
+// PeekClass reads just the class name from an encoded image, without a
+// registry or a full decode. Core hands it to heap.Open as the reader that
+// fills the object table's classes on recovery redo and page-scan rebuilds.
 func PeekClass(buf []byte) (string, error) {
 	v, _, err := value.DecodeValue(buf)
 	if err != nil {

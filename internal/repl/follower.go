@@ -209,11 +209,7 @@ func (f *Follower) stream(ctx context.Context, cli *client.Client) {
 				base = append(base, core.ReplBaseObject{ID: o.ID, Img: o.Img})
 			}
 		case wire.OpReplSnapEnd:
-			// The snap-end meta blob (OID high-water, clock) is not
-			// installed: a replica never allocates OIDs or stamps
-			// sequence numbers, and ApplyBaseState rebuilds the catalog
-			// from the system objects in the images themselves.
-			baseLSN, _, err := wire.DecodeReplSnapEnd(m.payload)
+			baseLSN, err := wire.DecodeReplSnapEnd(m.payload)
 			if err != nil {
 				return
 			}

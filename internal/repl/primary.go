@@ -581,7 +581,7 @@ func (f *followerState) baseSync() bool {
 	if !flush() {
 		return false
 	}
-	end := wire.AppendReplSnapEnd(nil, st.LSN, st.Meta)
+	end := wire.AppendReplSnapEnd(nil, st.LSN)
 	if !f.sess.Send(wire.OpReplSnapEnd, end, f.stop) {
 		return false
 	}

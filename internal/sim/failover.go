@@ -200,7 +200,7 @@ func (n *failNode) applyLoop(p *repl.Primary, sess *pipeSession, primaryEpoch ui
 					base = append(base, core.ReplBaseObject{ID: o.ID, Img: o.Img})
 				}
 			case wire.OpReplSnapEnd:
-				baseLSN, _, err := wire.DecodeReplSnapEnd(m.payload)
+				baseLSN, err := wire.DecodeReplSnapEnd(m.payload)
 				if err != nil {
 					return
 				}

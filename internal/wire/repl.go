@@ -3,7 +3,7 @@
 // redo records (the same records CommitBatch wrote locally), and the
 // occurrences the transaction raised, so the follower can fan pushes out to
 // its own subscribers. Base state for a fresh follower streams as OpReplSnap
-// chunks (object images) terminated by OpReplSnapEnd (base LSN + meta blob).
+// chunks (object images) terminated by OpReplSnapEnd (the base LSN).
 //
 // Decoding follows the package's bounds rule: every count read off the wire
 // is validated against the bytes actually present before any slice is sized
@@ -191,27 +191,22 @@ func DecodeReplSnap(payload []byte) ([]ReplSnapObj, error) {
 }
 
 // AppendReplSnapEnd appends the OpReplSnapEnd payload: the LSN the base
-// state corresponds to plus the primary's meta blob (class table + catalog).
-func AppendReplSnapEnd(buf []byte, baseLSN uint64, meta []byte) []byte {
-	buf = value.AppendValue(buf, value.Int(int64(baseLSN)))
-	return value.AppendValue(buf, value.Str(string(meta)))
+// state corresponds to.
+func AppendReplSnapEnd(buf []byte, baseLSN uint64) []byte {
+	return value.AppendValue(buf, value.Int(int64(baseLSN)))
 }
 
 // DecodeReplSnapEnd decodes an OpReplSnapEnd payload.
-func DecodeReplSnapEnd(payload []byte) (baseLSN uint64, meta []byte, err error) {
-	vals, err := DecodeValues(payload, 2)
+func DecodeReplSnapEnd(payload []byte) (baseLSN uint64, err error) {
+	vals, err := DecodeValues(payload, 1)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	lsn, ok := vals[0].AsInt()
 	if !ok {
-		return 0, nil, errors.New("wire: repl snap-end lsn is not an int")
+		return 0, errors.New("wire: repl snap-end lsn is not an int")
 	}
-	s, ok := vals[1].AsString()
-	if !ok {
-		return 0, nil, errors.New("wire: repl snap-end meta is not a string")
-	}
-	return uint64(lsn), []byte(s), nil
+	return uint64(lsn), nil
 }
 
 // decodeInt decodes one int value off the front of rest.

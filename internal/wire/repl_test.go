@@ -83,12 +83,17 @@ func TestReplSnapRoundTrip(t *testing.T) {
 }
 
 func TestReplSnapEndRoundTrip(t *testing.T) {
-	lsn, meta, err := DecodeReplSnapEnd(AppendReplSnapEnd(nil, 77, []byte("meta-blob")))
+	lsn, err := DecodeReplSnapEnd(AppendReplSnapEnd(nil, 77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn != 77 || string(meta) != "meta-blob" {
-		t.Fatalf("snap end round trip: lsn=%d meta=%q", lsn, meta)
+	if lsn != 77 {
+		t.Fatalf("snap end round trip: lsn=%d", lsn)
+	}
+	// A version-3 payload still carried the meta blob after the LSN.
+	v3 := value.AppendValue(AppendReplSnapEnd(nil, 77), value.Str("meta-blob"))
+	if _, err := DecodeReplSnapEnd(v3); err == nil {
+		t.Fatal("snap end with a trailing meta blob accepted")
 	}
 }
 
@@ -118,7 +123,8 @@ func FuzzDecodeReplBatch(f *testing.F) {
 	f.Add(AppendReplBatch(nil, ReplBatch{LSN: 1}))
 	f.Add(AppendReplBatch(nil, sampleBatch()))
 	f.Add(AppendReplSnap(nil, []ReplSnapObj{{ID: 5, Img: []byte("img")}}))
-	f.Add(AppendReplSnapEnd(nil, 9, []byte("m")))
+	f.Add(AppendReplSnapEnd(nil, 9))
+	f.Add(value.AppendValue(AppendReplSnapEnd(nil, 9), value.Str("m"))) // v3 shape
 	// Hostile count with a dangling tail.
 	f.Add(value.AppendValue(value.AppendValue(nil, value.Int(2)), value.Int(1<<30)))
 	// Failover-era admin payloads (v3): an epoch-carrying ack and an
@@ -140,6 +146,10 @@ func FuzzDecodeReplBatch(f *testing.F) {
 				t.Fatalf("re-encode of accepted snap rejected: %v", err)
 			}
 		}
-		_, _, _ = DecodeReplSnapEnd(data)
+		if lsn, err := DecodeReplSnapEnd(data); err == nil {
+			if got, err := DecodeReplSnapEnd(AppendReplSnapEnd(nil, lsn)); err != nil || got != lsn {
+				t.Fatalf("re-encode of accepted snap end = %d, %v", got, err)
+			}
+		}
 	})
 }

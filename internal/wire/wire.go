@@ -41,10 +41,11 @@ import (
 // replication opcodes (OpReplHello/OpReplAck/OpReplWelcome and the
 // OpReplFrames/OpReplSnap pushes); 3 adds failover — OpReplAck gains a
 // trailing epoch, and OpReplPromote/OpReplFence carry the promotion and
-// fencing admin ops. A
-// client with a version the server does not speak gets a clean
-// version-mismatch OpErr instead of an unknown-opcode failure mid-session.
-const ProtocolVersion = 3
+// fencing admin ops; 4 cuts OpReplSnapEnd to the base LSN alone (the meta
+// blob it also carried was never read). A client with a version the server
+// does not speak gets a clean version-mismatch OpErr instead of an
+// unknown-opcode failure mid-session.
+const ProtocolVersion = 4
 
 // MaxFrameLen caps the length field (opcode + reqid + payload): 8 MiB.
 // Large enough for any script or result the shell produces, small enough
@@ -85,7 +86,7 @@ const (
 	OpEvent       byte = 32 // push: see AppendEvent/DecodeEvent; reqid is 0
 	OpReplFrames  byte = 33 // push: see AppendReplBatch/DecodeReplBatch; reqid is 0
 	OpReplSnap    byte = 34 // push: base-state chunk, see AppendReplSnap; reqid is 0
-	OpReplSnapEnd byte = 35 // push: [int baseLSN, str metaBlob]; reqid is 0
+	OpReplSnapEnd byte = 35 // push: [int baseLSN]; reqid is 0
 )
 
 // MomentAny is the Subscribe moment wildcard: deliver begin, end and
