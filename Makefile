@@ -44,7 +44,7 @@ race:
 # The fixed seeds make failures reproducible; the strided versions of the
 # same sweeps run in the ordinary test suite.
 torture:
-	SENTINEL_TORTURE=full $(GO) test -count=1 -run 'TestCrashStateEnumeration|TestDifferentialStreams|TestRecoveryAtEveryBitFlip|TestRecoveryAtEveryTruncationPoint|TestGroupCommitTorture|TestSnapshotDiffer|TestReplTortureSweep|TestReplDiffSeeds|TestFailoverSweep|TestChurnDifferential|TestGlobalRefOnModelSeeds' -v ./internal/sim/ ./internal/core/
+	SENTINEL_TORTURE=full $(GO) test -count=1 -run 'TestCrashStateEnumeration|TestDifferentialStreams|TestRecoveryAtEveryBitFlip|TestRecoveryAtEveryTruncationPoint|TestGroupCommitTorture|TestDependentChainTorture|TestSnapshotDiffer|TestReplTortureSweep|TestReplDiffSeeds|TestFailoverSweep|TestChurnDifferential|TestGlobalRefOnModelSeeds' -v ./internal/sim/ ./internal/core/
 
 # Coverage-guided fuzzing on top of the checked-in seed corpora. `go test`
 # accepts one -fuzz pattern per package invocation, hence one line each.

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"sentinel/internal/event"
 	"sentinel/internal/obs"
 	"sentinel/internal/oid"
 	"sentinel/internal/rule"
@@ -41,24 +42,32 @@ func (db *Database) heapErr() error {
 // commitState is what the stages of one commit hand to each other.
 type commitState struct {
 	lsn uint64 // MVCC commit LSN; 0 for a read-only commit
-	// batch is the logged WAL batch. It is non-nil exactly from a successful
-	// append in logCommit until shipCommit returns — the window in which the
-	// commit holds ckptMu shared.
-	batch   *commitScratch
+	// batch is the enqueued WAL batch. It is non-nil exactly from a
+	// successful Enqueue in logCommit until awaitDurable returns — the
+	// window in which the commit holds ckptMu shared.
+	batch *commitScratch
+	// ticket is the log position awaitDurable waits for: the batch's own,
+	// or, for a commit that logged nothing, the last batch enqueued before
+	// it released its locks (0 when there is nothing to wait for).
+	ticket  wal.Ticket
 	replLSN uint64 // replication LSN of the batch; 0 when none was logged
 }
 
 // commitScratch is the reusable per-commit encoding state: the write set's
 // OIDs, the records (commit record last), the class name of each record
 // before it, and one flat buffer every object image of the batch is encoded
-// into, so record framing stops allocating per record. Commits run
-// concurrently (they hold ckptMu only shared), hence a sync.Pool rather than
-// a Database field.
+// into, so record framing stops allocating per record. It is also the WAL
+// payload the flush leader applies and ships (flushed): occs are the
+// occurrences the batch carries to followers, replLSN the replication LSN
+// the leader numbered it with. Commits run concurrently (they hold ckptMu
+// only shared), hence a sync.Pool rather than a Database field.
 type commitScratch struct {
 	ids     []oid.OID
 	recs    []wal.Record
 	classes []string
 	buf     []byte
+	occs    []event.Occurrence
+	replLSN uint64
 }
 
 var commitScratchPool = sync.Pool{New: func() any { return new(commitScratch) }}
@@ -78,15 +87,17 @@ const (
 // the quorum wait (a follower was promoted; the commit will never be
 // acknowledged and rejoining as a follower discards it) and, with
 // Options.AsyncDetached, ErrDetachedStopped (Close already stopped the
-// executor pool, so only the detached firings were dropped). One reports a
-// transaction whose fate is unknown: wal.ErrInDoubt (its log flush failed
-// and could not be undone; the reopen decides).
+// executor pool, so only the detached firings were dropped). Two report a
+// transaction whose locks were already released when its log flush failed,
+// so it cannot be rolled back: wal.ErrInDoubt (its group's flush failed;
+// the reopen decides) and wal.ErrFailStopped from the durability wait (an
+// earlier group failed first, so its batch was never written).
 func (db *Database) Commit(t *Tx) error { return db.commitHead(t).Finish() }
 
-// Pending is a commit cut after releaseCommit. The transaction is over — its
-// batch logged and shipped, its versions visible to snapshots, its locks
-// released — and what is left is the tail: awaitQuorum → publishCommit →
-// reclaimCommit → dispatchDetached. Finish runs the tail and returns what
+// Pending is a commit cut after awaitDurable. The transaction is over — its
+// batch durable, applied and shipped, its versions visible to snapshots, its
+// locks released — and what is left is the tail: awaitQuorum → publishCommit
+// → reclaimCommit → dispatchDetached. Finish runs the tail and returns what
 // Commit would have; call it exactly once, and finish the Pendings of one
 // caller in the order their heads ran, so pushes leave in commit order.
 // Commit is head + Finish inline; internal/server parks the tail of a
@@ -145,7 +156,8 @@ func (db *Database) commitHead(t *Tx) Pending {
 
 // commit is the stage list's head, commitTail its tail. Up to and including
 // logCommit a failure aborts the transaction; once logCommit returned nil the
-// commit record is in the WAL and every later stage runs, whatever happens. A
+// commit record has its place in the WAL and the locks are released before
+// it is durable, so a failed flush can no longer abort it (awaitDurable). A
 // fenced quorum wait skips only the two stages that publish the commit to
 // the outside.
 func (db *Database) commit(t *Tx) (replLSN uint64, err error) {
@@ -156,15 +168,13 @@ func (db *Database) commit(t *Tx) (replLSN uint64, err error) {
 	var c commitState
 	if err := db.logCommit(t, &c); err != nil {
 		db.Abort(t)
-		if errors.Is(err, wal.ErrInDoubt) {
-			return 0, fmt.Errorf("core: commit outcome in doubt (reopen the database to learn it): %w", err)
-		}
 		return 0, fmt.Errorf("core: commit not durable (transaction aborted): %w", err)
 	}
-	db.applyCommit(&c)
-	db.shipCommit(t, &c)
 	db.installCommit(t, &c)
 	db.releaseCommit(t)
+	if err := db.awaitDurable(&c); err != nil {
+		return 0, err
+	}
 	return c.replLSN, nil
 }
 
@@ -199,18 +209,24 @@ func (db *Database) drainDeferred(t *Tx) error {
 }
 
 // logCommit is the decision point: it allocates the MVCC commit LSN, encodes
-// the persistent part of the write set and appends it to the WAL through
-// group commit (concurrent committers share one write and, with
-// SyncOnCommit, one fsync). An error — a fenced primary, a heap already
-// behind its log, a failed append — leaves nothing in the WAL and the caller
-// aborts; nil means recovery will replay this transaction.
+// the persistent part of the write set and enqueues it in the WAL's group
+// commit, which gives the batch its place in the log without waiting for the
+// flush. An error — a fenced primary, a heap already behind its log, a
+// fail-stopped log — leaves nothing in the WAL and the caller aborts; nil
+// means the batch is queued. A commit that logs nothing notes the last batch
+// queued before it instead: it may have read that batch's images.
 //
-//	holds:     2PL locks, pins; takes ckptMu shared and keeps it for applyCommit and shipCommit
-//	blocks on: ckptMu (a running checkpoint or base-state capture), the WAL group-commit flush
-//	publishes: the commit record
+//	holds:     2PL locks, pins; takes ckptMu shared and keeps it until awaitDurable
+//	blocks on: ckptMu (a running checkpoint or base-state capture)
+//	publishes: the batch's place in the log
 func (db *Database) logCommit(t *Tx, c *commitState) error {
 	if len(t.dirty) == 0 && len(t.created) == 0 && len(t.deleted) == 0 {
-		return nil // read-only (incl. snapshot transactions): nothing to log or install
+		// Read-only: nothing to log or install. A snapshot transaction read
+		// only durable commits; a 2PL one may have read a queued batch.
+		if db.log != nil && t.snapID == 0 {
+			c.ticket = db.log.Last()
+		}
+		return nil
 	}
 	// Nothing a fenced (deposed) primary writes can ever be acknowledged
 	// (see Database.Fence), so it adds nothing to its history.
@@ -237,16 +253,21 @@ func (db *Database) logCommit(t *Tx, c *commitState) error {
 	sc := encodeWriteSet(db, t)
 	if len(sc.recs) == 0 {
 		sc.release()
+		c.ticket = db.log.Last()
 		return nil
 	}
+	// Once enqueued the batch belongs to whichever goroutine leads its
+	// flush, so everything it ships goes in first.
+	sc.occs, t.replOccs = t.replOccs, nil
 	db.ckptMu.RLock()
-	if err := db.log.CommitBatch(sc.recs, db.opts.SyncOnCommit); err != nil {
+	ticket, err := db.log.Enqueue(sc.recs, db.opts.SyncOnCommit, sc)
+	if err != nil {
 		db.ckptMu.RUnlock()
 		db.lsn.end(c.lsn) // abandoned: nothing installs at this LSN
 		sc.release()
 		return err
 	}
-	c.batch = sc
+	c.batch, c.ticket = sc, ticket
 	return nil
 }
 
@@ -307,11 +328,13 @@ func encodeWriteSet(db *Database, t *Tx) *commitScratch {
 
 // release returns the encode buffers to the pool. The WAL append, the heap
 // apply and the ship hook all copy, so nothing retains the record Data past
-// shipCommit; the pointers are zeroed so the pool pins no images.
+// shipCommit; the pointers are zeroed so the pool pins no images. The
+// occurrence slice went to the replicator, which may keep it.
 func (sc *commitScratch) release() {
 	for i := range sc.recs {
 		sc.recs[i].Data = nil
 	}
+	sc.occs, sc.replLSN = nil, 0
 	if cap(sc.recs) > maxCommitScratchRecs {
 		sc.ids, sc.recs, sc.classes = nil, nil, nil
 	}
@@ -321,22 +344,113 @@ func (sc *commitScratch) release() {
 	commitScratchPool.Put(sc)
 }
 
-// applyCommit applies the logged batch to the heap (redo applied eagerly;
-// the log protects it), each image with its class, and marks the written
-// directory entries clean — evictable again. A heap
-// error cannot un-commit: the first one stops the apply (the remaining
-// entries stay dirty, hence resident, so memory keeps the committed state)
-// and puts the database into the ErrHeapBehind fail-stop.
+// installCommit publishes the write set's versions at the commit LSN. The
+// LSN stays open until awaitDurable, so no snapshot sees them before the
+// batch is durable; with the 2PL locks still held, per-object LSN order
+// equals commit order.
 //
-//	holds:     2PL locks, pins, ckptMu shared
+//	holds:     2PL locks, pins, ckptMu shared; directory shard locks, one at a time
+//	blocks on: nothing
+//	publishes: the new versions, to snapshots once the LSN ends
+func (db *Database) installCommit(t *Tx, c *commitState) {
+	if c.lsn != 0 {
+		db.installVersions(t, c.lsn)
+	}
+}
+
+// releaseCommit ends the transaction before its batch is durable (early lock
+// release): 2PL locks, then the directory pins (undo closures can no longer
+// run), then the snapshot registration. A waiter that reads the write set
+// enqueues its own batch behind this one, so it can never become durable
+// first. Detectors of tx-scoped rules the transaction fed reset here.
+//
+//	holds:     ckptMu shared on return when a batch was enqueued
+//	blocks on: nothing
+//	publishes: the write set to lock waiters
+func (db *Database) releaseCommit(t *Tx) {
+	t.finished = true
+	t.resetTouched()
+	_ = t.inner.Commit(nil) // cannot fail: Active was checked and only this goroutine ends t
+	t.releasePins()
+	t.releaseSnapshot()
+}
+
+// awaitDurable waits until the commit's place in the log is flushed: its own
+// batch, or — for a commit that logged nothing — every batch queued before
+// it released its locks, since it may have read their images (Aether's
+// flush-pipelining rule; free while the log is idle). By then the flush
+// leader has applied and shipped the batch (flushed), so the LSN ends here:
+// snapshots see a commit only once it is durable and in the heap. A failed
+// flush cannot roll back a transaction whose locks are gone, so the commit
+// is reported in doubt; its LSN never ends, and the log stays fail-stopped
+// until a reopen's recovery decides.
+//
+//	holds:     ckptMu shared until it returns
+//	blocks on: the WAL group flush (leading it when nobody else does)
+//	publishes: the stable LSN; ckptMu, to checkpoints
+func (db *Database) awaitDurable(c *commitState) error {
+	var err error
+	if c.ticket != 0 {
+		err = db.log.Await(c.ticket)
+	}
+	if err == nil && c.lsn != 0 {
+		db.lsn.end(c.lsn)
+	}
+	if c.batch == nil {
+		if err != nil {
+			return fmt.Errorf("core: commit read state whose outcome is in doubt (reopen the database): %w", err)
+		}
+		return nil
+	}
+	c.replLSN = c.batch.replLSN
+	db.ckptMu.RUnlock()
+	c.batch.release()
+	c.batch = nil
+	switch {
+	case errors.Is(err, wal.ErrInDoubt):
+		return fmt.Errorf("core: commit outcome in doubt (reopen the database to learn it): %w", err)
+	case err != nil:
+		return fmt.Errorf("core: commit never logged, the log fail-stopped first (reopen the database): %w", err)
+	}
+	return nil
+}
+
+// flushed is the WAL's flush hook: the leader of each successful group flush
+// runs it with the group's batches in log order, before any member's
+// awaitDurable returns. Applying there keeps the WAL rule — the heap holds
+// only durable images — and shipping there keeps replication-LSN order equal
+// to log order, even between dependent commits that share a group.
+//
+//	holds:     nothing of its own; every batch's committer holds ckptMu shared
+//	blocks on: applyCommit's page I/O, replMu
+//	publishes: see applyCommit and shipCommit
+func (db *Database) flushed(payloads []any) {
+	for _, p := range payloads {
+		if sc, ok := p.(*commitScratch); ok {
+			db.applyCommit(sc)
+			db.shipCommit(sc)
+		}
+	}
+}
+
+// applyCommit applies a durable batch to the heap (redo applied eagerly; the
+// log protects it), each image with its class, and marks the written
+// directory entries clean. An entry a later in-flight commit re-dirtied
+// stays resident anyway: its LSN is above the watermark until that commit's
+// own apply. A heap error cannot un-commit: the first one stops the apply
+// (this batch's remaining entries and every later batch's stay dirty, hence
+// resident, so memory keeps the committed state) and puts the database into
+// the ErrHeapBehind fail-stop.
+//
+//	holds:     nothing of its own (run by flushed)
 //	blocks on: buffer-pool page I/O
 //	publishes: heap images and their classes, clean bits
-func (db *Database) applyCommit(c *commitState) {
-	if c.batch == nil {
+func (db *Database) applyCommit(sc *commitScratch) {
+	if db.heapErr() != nil {
 		return
 	}
-	for i, cls := range c.batch.classes {
-		r := c.batch.recs[i]
+	for i, cls := range sc.classes {
+		r := sc.recs[i]
 		if err := db.storeRecord(r, cls); err != nil {
 			err = fmt.Errorf("%w (object %s: %v)", ErrHeapBehind, r.OID, err)
 			db.heapBehind.CompareAndSwap(nil, &err)
@@ -348,66 +462,29 @@ func (db *Database) applyCommit(c *commitState) {
 	}
 }
 
-// shipCommit numbers the logged batch with the next replication LSN and
-// hands it to the replicator, together with the occurrences the transaction
+// shipCommit numbers a durable batch with the next replication LSN and hands
+// it to the replicator, together with the occurrences its transaction
 // raised. The LSN advances whether or not anything is attached: it counts
 // the database's committed batches, and a follower attaching later needs the
-// count dense. Under group commit every coalesced transaction gets its own
-// LSN here; follower acks are monotone, so one ack at the highest satisfies
-// every quorum waiter below it. Ship only encodes and buffers (see
-// Replicator). ckptMu is released on the way out: the heap now holds exactly
-// the batches numbered 1..replLSN, which is what Checkpoint and
-// ReplBaseState record under the exclusive lock.
+// count dense. Every coalesced transaction gets its own LSN, in log order —
+// a commit that read another's write is behind it in the log — and follower
+// acks are monotone, so one ack at the highest satisfies every quorum waiter
+// below it. Ship only encodes and buffers (see Replicator). When the last
+// committer of the group releases ckptMu the heap holds exactly the batches
+// numbered 1..replLSN, which is what Checkpoint and ReplBaseState record
+// under the exclusive lock.
 //
-//	holds:     2PL locks (dependent commits ship in commit order), pins, ckptMu shared, replMu
-//	blocks on: replMu only — another committer's encode-and-buffer
+//	holds:     replMu (run by flushed)
+//	blocks on: replMu only — another leader's encode-and-buffer
 //	publishes: the replication LSN; the batch, to the replicator's ring
-func (db *Database) shipCommit(t *Tx, c *commitState) {
-	if c.batch == nil {
-		return
-	}
+func (db *Database) shipCommit(sc *commitScratch) {
 	db.replMu.Lock()
 	db.replLSN++
-	c.replLSN = db.replLSN
+	sc.replLSN = db.replLSN
 	if ship := db.repl.Load().Ship; ship != nil {
-		ship(ReplBatch{LSN: c.replLSN, Recs: c.batch.recs, Occs: t.replOccs})
-		t.replOccs = nil
+		ship(ReplBatch{LSN: sc.replLSN, Recs: sc.recs, Occs: sc.occs})
 	}
 	db.replMu.Unlock()
-	db.ckptMu.RUnlock()
-	c.batch.release()
-	c.batch = nil
-}
-
-// installCommit publishes the write set's versions at the commit LSN and
-// then marks the LSN stable. With the 2PL locks still held no snapshot at or
-// above the LSN exists until every entry is installed, and per-object LSN
-// order equals commit order.
-//
-//	holds:     2PL locks, pins; directory shard locks, one at a time
-//	blocks on: nothing
-//	publishes: the new versions to snapshot readers; the stable LSN
-func (db *Database) installCommit(t *Tx, c *commitState) {
-	if c.lsn == 0 {
-		return
-	}
-	db.installVersions(t, c.lsn)
-	db.lsn.end(c.lsn)
-}
-
-// releaseCommit ends the transaction: 2PL locks, then the directory pins
-// (undo closures can no longer run), then the snapshot registration.
-// Detectors of tx-scoped rules the transaction fed reset here.
-//
-//	holds:     nothing on return
-//	blocks on: nothing
-//	publishes: the write set to lock waiters
-func (db *Database) releaseCommit(t *Tx) {
-	t.finished = true
-	t.resetTouched()
-	_ = t.inner.Commit(nil) // cannot fail: Active was checked and only this goroutine ends t
-	t.releasePins()
-	t.releaseSnapshot()
 }
 
 // awaitQuorum blocks until Options.SyncReplicas followers durably acked the
@@ -467,7 +544,7 @@ func (db *Database) publishCommit(t *Tx) {
 // the directory holds the sole copy of the unapplied batch.
 //
 //	holds:     nothing on entry; shard locks, ccMu, and — for a checkpoint — ckptMu exclusive
-//	blocks on: checkpoint I/O, and ckptMu behind commits between logCommit and shipCommit
+//	blocks on: checkpoint I/O, and ckptMu behind commits between logCommit and awaitDurable
 //	publishes: freed entries; a truncated WAL
 func (db *Database) reclaimCommit(t *Tx) {
 	if db.heapErr() != nil {

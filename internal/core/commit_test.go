@@ -1,9 +1,10 @@
 package core
 
 // Tests for the commit pipeline (commit.go): the order its stages publish
-// in, what each may hold while it runs, the head/tail cut (Pending), and the
-// failure contracts — a heap error behind the commit record, a fenced quorum
-// wait, and a failed log flush (rewound, or in doubt when it cannot be).
+// in, what each may hold while it runs, early lock release, the head/tail
+// cut (Pending), and the failure contracts — a heap error behind the commit
+// record, a fenced quorum wait, and a failed log flush (in doubt, the log
+// fail-stopped behind it).
 
 import (
 	"errors"
@@ -57,11 +58,12 @@ func quorumDB(t *testing.T, async bool) (*Database, oid.OID) {
 
 // TestCommitStageOrder drives one commit through a recording Replicator, a
 // recording sink and a detached rule, with a second transaction queued on
-// the committing transaction's 2PL lock. Ship must run while that
-// transaction is still blocked; WaitQuorum must run with the lock released
-// (it waits for the blocked transaction to finish, which it only can once
-// the lock is gone); and the observable order must be ship < quorum-wait <
-// push < detached effect.
+// the committing transaction's 2PL lock. Ship must run before that
+// transaction can finish (it read the commit's write, so its read-only
+// commit waits for the flush that ships it); WaitQuorum must run with the
+// lock released (it waits for the blocked transaction to finish, which it
+// only can once the lock is gone); and the observable order must be ship <
+// quorum-wait < push < detached effect.
 func TestCommitStageOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -187,14 +189,18 @@ func TestFencedQuorumWaitStillReclaims(t *testing.T) {
 
 // TestHeapFailureBehindCommitRecord fails, in turn, every filesystem
 // operation a commit issues. Whatever the operation, Commit's answer must be
-// what a reopen then shows. Where the failure hits the heap apply — behind
-// the commit record — the commit stands: memory keeps it, the replicator got
-// it, later writes and checkpoints are refused with ErrHeapBehind, and
-// recovery replays it at the same replication LSN.
+// what a reopen then shows. Where the failure hits the WAL write the commit
+// had already released its locks, so it is in doubt: nothing was applied or
+// shipped, the next write is a clean abort (the log fail-stopped), and the
+// reopen may go either way as long as x and the replication LSN agree.
+// Where it hits the heap apply — which the flush leader runs behind the
+// durable commit record — the commit stands: memory keeps it, the
+// replicator got it, later writes and checkpoints are refused with
+// ErrHeapBehind, and recovery replays it at the same replication LSN.
 func TestHeapFailureBehindCommitRecord(t *testing.T) {
 	const extra = 400 // creates that outgrow the page and force a heap-file write
 	opts := func(fs vfs.FS) Options { return Options{Dir: "db", VFS: fs, Output: io.Discard} }
-	behind := 0
+	behind, inDoubt := 0, 0
 	for k := 1; ; k++ {
 		fs := vfs.NewFault()
 		db := MustOpen(opts(fs))
@@ -223,18 +229,28 @@ func TestHeapFailureBehindCommitRecord(t *testing.T) {
 			db.CloseAbrupt()
 			break // k is past the commit's last operation
 		}
+		doubt := errors.Is(commitErr, wal.ErrInDoubt)
 		want, wantLSN := 0.0, lsn0
 		if commitErr == nil {
 			want, wantLSN = 42, lsn0+1
 		}
-		if got := readX(t, db, id); got != want {
-			t.Fatalf("op %d: Commit = %v but x = %v in memory", k, commitErr, got)
+		if !doubt {
+			if got := readX(t, db, id); got != want {
+				t.Fatalf("op %d: Commit = %v but x = %v in memory", k, commitErr, got)
+			}
 		}
 		if got := db.ReplLSN(); got != wantLSN {
 			t.Fatalf("op %d: Commit = %v but ReplLSN = %d, want %d", k, commitErr, got, wantLSN)
 		}
 		if (len(shipped) == 1) != (commitErr == nil) {
 			t.Fatalf("op %d: Commit = %v but shipped batches = %v", k, commitErr, shipped)
+		}
+		if doubt {
+			inDoubt++
+			err := db.Atomically(func(tx *Tx) error { return db.Set(tx, id, "x", value.Float(43)) })
+			if !errors.Is(err, wal.ErrFailStopped) || !strings.Contains(err.Error(), "aborted") {
+				t.Fatalf("op %d: write after an in-doubt commit = %v, want an aborted ErrFailStopped", k, err)
+			}
 		}
 		if commitErr == nil {
 			// The failure hit the heap, behind the commit record.
@@ -255,7 +271,11 @@ func TestHeapFailureBehindCommitRecord(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d: reopen: %v", k, err)
 		}
-		if got := readX(t, db2, id); got != want {
+		got := readX(t, db2, id)
+		if doubt && got == 42 {
+			want, wantLSN = 42, lsn0+1 // the in-doubt commit went the other way
+		}
+		if got != want {
 			t.Fatalf("op %d: Commit = %v but recovery shows x = %v", k, commitErr, got)
 		}
 		if got := db2.ReplLSN(); got != wantLSN {
@@ -265,6 +285,9 @@ func TestHeapFailureBehindCommitRecord(t *testing.T) {
 	}
 	if behind == 0 {
 		t.Fatal("no injected fault landed in the heap apply; the commit no longer writes the heap file")
+	}
+	if inDoubt == 0 {
+		t.Fatal("no injected fault landed in the WAL write")
 	}
 }
 
@@ -283,15 +306,18 @@ func readX(t *testing.T, db *Database, id oid.OID) float64 {
 
 // TestCommitAnswerSurvivesPowerCut fails, in turn, every filesystem
 // operation a SyncOnCommit commit issues — as EIO and as a short write —
-// then commits once more, cuts the power and reopens. What each Commit
-// answered is what recovery must show: success means durable, "aborted"
-// means gone — the failed group's records must not ride the next commit's
-// fsync into durability — and only wal.ErrInDoubt leaves both open.
+// then commits once more, cuts the power and reopens. Every answer is
+// success, in doubt or a clean abort, and what each Commit answered is what
+// recovery must show: success means durable, "aborted" means gone — a
+// commit refused because the log fail-stopped must not ride anything into
+// durability — and only wal.ErrInDoubt leaves both open. A failed log flush
+// lands in doubt (the locks were already released), and the commit after it
+// is refused.
 func TestCommitAnswerSurvivesPowerCut(t *testing.T) {
 	opts := func(fs vfs.FS) Options {
 		return Options{Dir: "db", VFS: fs, SyncOnCommit: true, Output: io.Discard}
 	}
-	failed := 0
+	failed, inDoubt := 0, 0
 	for _, kind := range []vfs.FaultKind{vfs.FaultEIO, vfs.FaultShortWrite} {
 		for k := 1; ; k++ {
 			fs := vfs.NewFault()
@@ -310,6 +336,12 @@ func TestCommitAnswerSurvivesPowerCut(t *testing.T) {
 			}
 			failed++
 			second := db.Atomically(func(tx *Tx) error { return db.Set(tx, ids[1], "x", value.Float(7)) })
+			if errors.Is(first, wal.ErrInDoubt) {
+				inDoubt++
+				if !errors.Is(second, wal.ErrFailStopped) {
+					t.Fatalf("fault %d at op %d: commit after an in-doubt one = %v, want ErrFailStopped", kind, k, second)
+				}
+			}
 			crashed := vfs.NewMem()
 			crashed.Install(fs.CrashState(fs.Ops(), vfs.CrashSynced))
 			db.CloseAbrupt()
@@ -326,6 +358,8 @@ func TestCommitAnswerSurvivesPowerCut(t *testing.T) {
 				got := readX(t, db2, c.id)
 				switch {
 				case errors.Is(c.answer, wal.ErrInDoubt):
+				case c.answer != nil && !strings.Contains(c.answer.Error(), "transaction aborted"):
+					t.Fatalf("fault %d at op %d: Commit = %v, neither success, in doubt nor a clean abort", kind, k, c.answer)
 				case c.answer == nil && got != c.now:
 					t.Fatalf("fault %d at op %d: Commit succeeded but recovery shows x = %v, want %v", kind, k, got, c.now)
 				case c.answer != nil && got != c.before:
@@ -335,62 +369,202 @@ func TestCommitAnswerSurvivesPowerCut(t *testing.T) {
 			db2.CloseAbrupt()
 		}
 	}
-	if failed == 0 {
-		t.Fatal("no injected fault landed in the commit")
+	if failed == 0 || inDoubt == 0 {
+		t.Fatalf("injected faults landed in %d commits, %d of them in the log flush; want both > 0", failed, inDoubt)
 	}
 }
 
-// syncBreaker fails every file Sync and Truncate while broken is set.
-type syncBreaker struct {
+// syncGate is a VFS whose file Syncs fail while fail is set, and are held
+// while hold is set: each held Sync announces itself on entered and waits
+// for release.
+type syncGate struct {
 	vfs.FS
-	broken atomic.Bool
+	hold, fail atomic.Bool
+	entered    chan struct{}
+	release    chan struct{}
 }
 
-func (b *syncBreaker) OpenFile(path string, flag int, perm iofs.FileMode) (vfs.File, error) {
-	f, err := b.FS.OpenFile(path, flag, perm)
+func newSyncGate() *syncGate {
+	return &syncGate{FS: vfs.NewMem(), entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *syncGate) OpenFile(path string, flag int, perm iofs.FileMode) (vfs.File, error) {
+	f, err := g.FS.OpenFile(path, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &brokenSyncFile{File: f, fs: b}, nil
+	return &gatedFile{File: f, fs: g}, nil
 }
 
-type brokenSyncFile struct {
+type gatedFile struct {
 	vfs.File
-	fs *syncBreaker
+	fs *syncGate
 }
 
-func (f *brokenSyncFile) Sync() error {
-	if f.fs.broken.Load() {
+func (f *gatedFile) Sync() error {
+	if f.fs.hold.Load() {
+		f.fs.entered <- struct{}{}
+		<-f.fs.release
+	}
+	if f.fs.fail.Load() {
 		return errors.New("device gone")
 	}
 	return f.File.Sync()
 }
 
-func (f *brokenSyncFile) Truncate(size int64) error {
-	if f.fs.broken.Load() {
-		return errors.New("device gone")
-	}
-	return f.File.Truncate(size)
-}
-
-// TestCommitInDoubtWhenRewindFails: a commit whose fsync fails and whose log
-// rewind fails too is reported in doubt, not aborted, and every later write
-// is refused until the database is reopened.
-func TestCommitInDoubtWhenRewindFails(t *testing.T) {
-	fs := &syncBreaker{FS: vfs.NewMem()}
+// TestCommitInDoubtWhenFlushFails: a commit whose fsync fails is reported in
+// doubt, not aborted — its locks were released before the flush. Every
+// later write is refused as a clean abort before it reaches the log, a 2PL
+// read that may have seen the in-doubt write is refused too, and snapshots
+// never see it (its LSN never ends) until the database is reopened.
+func TestCommitInDoubtWhenFlushFails(t *testing.T) {
+	fs := newSyncGate()
 	db := MustOpen(Options{Dir: "db", VFS: fs, SyncOnCommit: true, Output: io.Discard})
 	defer db.CloseAbrupt()
 	mkPersistentClass(t, db)
 	id := mkPersistentObjects(t, db, 1)[0]
-	fs.broken.Store(true)
+	fs.fail.Store(true)
 	err := db.Atomically(func(tx *Tx) error { return db.Set(tx, id, "x", value.Float(42)) })
-	fs.broken.Store(false)
+	fs.fail.Store(false)
 	if !errors.Is(err, wal.ErrInDoubt) || !strings.Contains(err.Error(), "in doubt") {
 		t.Fatalf("Commit = %v, want an in-doubt answer", err)
 	}
+	size := db.WALSize()
 	err = db.Atomically(func(tx *Tx) error { return db.Set(tx, id, "x", value.Float(43)) })
 	if !errors.Is(err, wal.ErrFailStopped) || !strings.Contains(err.Error(), "aborted") {
 		t.Fatalf("commit after the log fail-stopped = %v, want an aborted ErrFailStopped", err)
+	}
+	if db.WALSize() != size {
+		t.Fatalf("the refused commit wrote %d WAL bytes", db.WALSize()-size)
+	}
+	err = db.Atomically(func(tx *Tx) error { _, err := db.Get(tx, id, "x"); return err })
+	if !errors.Is(err, wal.ErrInDoubt) {
+		t.Fatalf("2PL read after the in-doubt commit = %v, want ErrInDoubt", err)
+	}
+	snap := db.BeginSnapshot()
+	defer db.Abort(snap)
+	if v, err := db.Get(snap, id, "x"); err != nil || !v.Equal(value.Float(0)) {
+		t.Fatalf("snapshot read x = %v, %v; want the last durable 0", v, err)
+	}
+}
+
+// TestEarlyLockRelease holds T1's WAL fsync. Meanwhile T2 locks and writes
+// T1's object and enqueues its own batch — T1's 2PL lock ended when its
+// batch was queued, not after the fsync — but T2's Commit does not return
+// before T1's flush completes, and a snapshot begun in between sees neither
+// write. Once the fsync is released both commit, in order.
+func TestEarlyLockRelease(t *testing.T) {
+	fs := newSyncGate()
+	db := MustOpen(Options{Dir: "db", VFS: fs, SyncOnCommit: true, Output: io.Discard})
+	defer db.CloseAbrupt()
+	mkPersistentClass(t, db)
+	id := mkPersistentObjects(t, db, 1)[0]
+	fs.hold.Store(true)
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			fs.hold.Store(false)
+			fs.release <- struct{}{}
+		}
+	}
+	defer release()
+
+	t1 := make(chan error, 1)
+	go func() { t1 <- db.Atomically(func(tx *Tx) error { return db.Set(tx, id, "x", value.Float(1)) }) }()
+	<-fs.entered // T1's batch is written; its fsync is held
+	queued := db.log.Last()
+
+	tx2 := db.Begin()
+	wrote := make(chan error, 1)
+	go func() { wrote <- db.Set(tx2, id, "x", value.Float(2)) }()
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("T2 could not lock T1's object while T1's fsync was in progress")
+		release()
+		<-wrote
+		return
+	}
+	t2 := make(chan error, 1)
+	go func() { t2 <- db.Commit(tx2) }()
+	for db.log.Last() == queued {
+		time.Sleep(time.Millisecond) // until T2's batch is queued behind T1's
+	}
+	select {
+	case err := <-t2:
+		t.Fatalf("T2's Commit returned (%v) while T1's fsync was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	snap := db.BeginSnapshot()
+	if v, err := db.Get(snap, id, "x"); err != nil || !v.Equal(value.Float(0)) {
+		t.Fatalf("snapshot begun during the flush read x = %v, %v; want 0", v, err)
+	}
+	db.Abort(snap)
+
+	release()
+	if err := <-t1; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-t2; err != nil {
+		t.Fatal(err)
+	}
+	if got := readX(t, db, id); got != 2 {
+		t.Fatalf("after both commits x = %v, want 2", got)
+	}
+}
+
+// TestReadOnlyCommitWaitsForReadBatch: a 2PL transaction reads T1's write
+// while T1's fsync is held — the lock was released early — but its
+// read-only commit does not return before T1's batch is durable, or a crash
+// could lose what it handed out.
+func TestReadOnlyCommitWaitsForReadBatch(t *testing.T) {
+	fs := newSyncGate()
+	db := MustOpen(Options{Dir: "db", VFS: fs, SyncOnCommit: true, Output: io.Discard})
+	defer db.CloseAbrupt()
+	mkPersistentClass(t, db)
+	id := mkPersistentObjects(t, db, 1)[0]
+	fs.hold.Store(true)
+	t1 := make(chan error, 1)
+	go func() { t1 <- db.Atomically(func(tx *Tx) error { return db.Set(tx, id, "x", value.Float(1)) }) }()
+	<-fs.entered
+
+	read := make(chan float64, 1)
+	reader := make(chan error, 1)
+	go func() {
+		reader <- db.Atomically(func(tx *Tx) error {
+			v, err := db.Get(tx, id, "x")
+			x, _ := v.Numeric()
+			read <- x
+			return err
+		})
+	}()
+	select {
+	case x := <-read:
+		if x != 1 {
+			t.Errorf("the reader read x = %v, want T1's 1", x)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the reader could not lock T1's object while T1's fsync was in progress")
+	}
+	var readErr error
+	select {
+	case readErr = <-reader:
+		t.Errorf("read-only commit returned (%v) while the batch it read was not durable", readErr)
+	case <-time.After(50 * time.Millisecond):
+		defer func() {
+			if err := <-reader; err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	fs.hold.Store(false)
+	fs.release <- struct{}{}
+	if err := <-t1; err != nil {
+		t.Fatal(err)
 	}
 }
 

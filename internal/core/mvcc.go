@@ -7,10 +7,11 @@ package core
 //
 // The protocol in one paragraph: every committing transaction allocates an
 // LSN C from the tracker (begin), installs its write set's versions at C
-// with 2PL locks still held, and then marks C done (end). The tracker's
-// `stable` LSN is the highest C below which every allocation has ended, so
-// a state labeled `stable` is fully installed. Snapshots are acquired AT
-// the stable LSN under the registry mutex; the watermark W — the prune /
+// with 2PL locks still held, and marks C done (end) once its WAL batch is
+// durable and applied. The tracker's `stable` LSN is the highest C below
+// which every allocation has ended, so a state labeled `stable` is fully
+// installed and durable. Snapshots are acquired AT the stable LSN under the
+// registry mutex; the watermark W — the prune /
 // eviction / tombstone-drop bound — is min(oldest active snapshot, stable),
 // computed under the same mutex. That makes the acquire-vs-prune race
 // benign: any snapshot acquired after a watermark computation reads
@@ -121,9 +122,8 @@ func (db *Database) watermark() uint64 {
 }
 
 // installVersions publishes the transaction's write set at commit LSN c.
-// Runs inside the durability callback — 2PL locks still held, c not yet
-// ended — so no snapshot at or above c exists until every entry below is
-// installed.
+// Runs in the commit head — 2PL locks still held, c not yet ended — so no
+// snapshot at or above c exists until every entry below is installed.
 func (db *Database) installVersions(t *Tx, c uint64) {
 	w := db.watermark()
 	pruned := 0

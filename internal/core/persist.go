@@ -69,6 +69,7 @@ func (db *Database) openStorage() error {
 		db.met.groupedCommits.Add(uint64(commits))
 		db.met.commitGroupH.Observe(time.Duration(commits))
 	})
+	log.SetFlushHook(db.flushed)
 
 	// Redo recovery. First scan the log; any logged work means the side
 	// index cannot be trusted (a crash may have left it at the previous

@@ -10,7 +10,8 @@ package core
 //     advancing while no follower is attached, so a follower can always name
 //     the exact prefix it holds.
 //   - A primary installs a Replicator (SetReplicator). The commit pipeline's
-//     ship stage calls its Ship under replMu with the 2PL locks still held,
+//     ship stage calls its Ship under replMu from the WAL flush leader, in
+//     log order. A commit that read another's write is behind it in the log,
 //     so dependent commits ship in commit order; independent commits ship in
 //     an arbitrary but valid serialization order.
 //   - A follower opens with Options.Replica and applies batches through
@@ -73,11 +74,12 @@ type ReplBatch struct {
 // service; a nil func means that part is absent. internal/repl's Primary
 // fills all three, its Follower only Info, test fakes only Ship.
 type Replicator struct {
-	// Ship receives every committed batch, on the committing goroutine under
-	// replMu with the transaction's locks held. It must only encode and
-	// buffer — never block on I/O — which is the whole no-stall argument: a
-	// dead-slow follower costs the commit path one mutex and one encode. It
-	// must not retain the batch (record Data aliases pooled commit scratch).
+	// Ship receives every committed batch once it is durable, in log order,
+	// on the goroutine leading the WAL flush, under replMu. It must only
+	// encode and buffer — never block on I/O — which is the whole no-stall
+	// argument: a dead-slow follower costs the commit path one mutex and one
+	// encode. It must not retain the records (their Data aliases pooled
+	// commit scratch); it may keep Occs.
 	Ship func(ReplBatch)
 	// WaitQuorum blocks until k followers durably acked lsn or the timeout
 	// passes. The pipeline calls it with no locks held. nil acknowledges,

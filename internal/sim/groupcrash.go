@@ -8,7 +8,10 @@ package sim
 // two cells always agree, no batch is ever torn mid-transaction, (b)
 // durability is monotone in the cut position, and (c) every commit whose
 // shared fsync completed before the cut survives recovery. Together these
-// show coalescing never weakens the single-commit crash contract.
+// show coalescing never weakens the single-commit crash contract. The
+// dependent-chain variant adds (d): every transaction also bumps one shared
+// cell, which under early lock release it reads while the previous bump is
+// still in flight — no state may hold a commit without the one it read.
 
 import (
 	"fmt"
@@ -35,7 +38,8 @@ type GroupMark struct {
 // GroupOracle is the ground truth for the group-commit sweep.
 type GroupOracle struct {
 	Writers, Rounds int
-	SetupOps        int // journal position after the schema/bind commit
+	Chain           bool // every round also bumped the shared cell S
+	SetupOps        int  // journal position after the schema/bind commit
 	Marks           []GroupMark
 	TotalOps        int
 	Groups          uint64 // coalesced flushes the run produced
@@ -54,34 +58,42 @@ func (o *GroupOracle) floor(w, k int) int {
 	return r
 }
 
-// groupSchema builds the Cell class and one left/right pair per writer,
-// DSL-defined so recovery needs no Go schema hook.
-func groupSchema(writers int) string {
+// groupSchema builds the Cell class, one left/right pair per writer and, for
+// the dependent chain, the shared cell S; DSL-defined so recovery needs no
+// Go schema hook.
+func groupSchema(writers int, chain bool) string {
 	var b strings.Builder
 	b.WriteString(`
 		class Cell reactive persistent {
 			attr v int
 			event end method SetV(n int) { self.v := n }
+			method Bump() { self.v := self.v + 1 }
 		}
 	`)
 	for w := 0; w < writers; w++ {
 		fmt.Fprintf(&b, "bind L%d new Cell(v: 0)\n", w)
 		fmt.Fprintf(&b, "bind R%d new Cell(v: 0)\n", w)
 	}
+	if chain {
+		b.WriteString("bind S new Cell(v: 0)\n")
+	}
 	return b.String()
 }
 
 // RunGroupWorkload drives writers concurrent committers, each committing
 // rounds transactions that set BOTH its cells to the round number in one
-// transaction, through the group-commit path (SyncOnCommit). The fault VFS
-// is wrapped in a latency layer that charges each fsync a realistic delay:
-// committers that arrive during a leader's fsync queue behind it and ride
-// the next flush together. With instant fsyncs committers never overlap and
+// transaction, through the group-commit path (SyncOnCommit). With chain set
+// each transaction then bumps the shared cell S (Send locks it exclusively,
+// so the bumps serialize): a committer takes S as soon as the previous
+// bump's batch is queued, reads that in-flight write, and its batch joins
+// the same or the next group. The fault VFS is wrapped in a latency layer
+// that charges each fsync a realistic delay: committers that arrive during
+// a leader's fsync queue behind it and ride the next flush together. With instant fsyncs committers never overlap and
 // every flush degenerates to a singleton, which would leave the
 // coalesced-batch recovery path untested. The latency layer only sleeps;
 // the op journal (and hence the crash-state enumeration) is the fault VFS's
 // own.
-func RunGroupWorkload(fault *vfs.Fault, writers, rounds int) (*GroupOracle, error) {
+func RunGroupWorkload(fault *vfs.Fault, writers, rounds int, chain bool) (*GroupOracle, error) {
 	db, err := core.Open(core.Options{
 		Dir:          GroupDir,
 		VFS:          vfs.NewLatency(fault, 300*time.Microsecond, 0),
@@ -93,10 +105,11 @@ func RunGroupWorkload(fault *vfs.Fault, writers, rounds int) (*GroupOracle, erro
 	}
 	defer db.CloseAbrupt()
 
-	if err := db.Exec(groupSchema(writers)); err != nil {
+	if err := db.Exec(groupSchema(writers, chain)); err != nil {
 		return nil, fmt.Errorf("schema: %w", err)
 	}
-	o := &GroupOracle{Writers: writers, Rounds: rounds, SetupOps: fault.Ops()}
+	o := &GroupOracle{Writers: writers, Rounds: rounds, Chain: chain, SetupOps: fault.Ops()}
+	shared, _ := db.Lookup("S")
 
 	var (
 		mu   sync.Mutex
@@ -114,7 +127,11 @@ func RunGroupWorkload(fault *vfs.Fault, writers, rounds int) (*GroupOracle, erro
 					if err := db.Set(t, l, "v", value.Int(int64(i))); err != nil {
 						return err
 					}
-					return db.Set(t, r, "v", value.Int(int64(i)))
+					if err := db.Set(t, r, "v", value.Int(int64(i))); err != nil || !chain {
+						return err
+					}
+					_, err := db.Send(t, shared, "Bump")
+					return err
 				})
 				if err != nil {
 					errs[w] = fmt.Errorf("writer %d round %d: %w", w, i, err)
@@ -138,16 +155,17 @@ func RunGroupWorkload(fault *vfs.Fault, writers, rounds int) (*GroupOracle, erro
 	return o, nil
 }
 
-// GroupTorture sweeps every crash point of the group-commit workload at
-// the given journal stride, in every crash mode, checking batch atomicity,
-// durability floors and monotonicity. Harness failures return an error;
+// GroupTorture sweeps every crash point of the group-commit workload (the
+// dependent chain with chain set) at the given journal stride, in every
+// crash mode, checking batch atomicity, durability floors and monotonicity,
+// and for the chain the shared cell. Harness failures return an error;
 // recovery bugs land in Violations.
-func GroupTorture(writers, rounds, stride int) (*TortureResult, error) {
+func GroupTorture(writers, rounds, stride int, chain bool) (*TortureResult, error) {
 	if stride < 1 {
 		stride = 1
 	}
 	fault := vfs.NewFault()
-	o, err := RunGroupWorkload(fault, writers, rounds)
+	o, err := RunGroupWorkload(fault, writers, rounds, chain)
 	if err != nil {
 		return nil, fmt.Errorf("group workload: %w", err)
 	}
@@ -200,8 +218,9 @@ func GroupTorture(writers, rounds, stride int) (*TortureResult, error) {
 }
 
 // checkGroupState reopens one crash-state image and verifies per-writer
-// batch atomicity. It returns the recovered round per writer (nil when the
-// setup transaction itself is not durable) and any violations.
+// batch atomicity and, for the dependent chain, the shared cell. It returns
+// the recovered round per writer (nil when the setup transaction itself is
+// not durable) and any violations.
 func checkGroupState(st map[string][]byte, o *GroupOracle) (vals []int, errs []string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -231,21 +250,22 @@ func checkGroupState(st map[string][]byte, o *GroupOracle) (vals []int, errs []s
 		addf("integrity: %v", problems)
 	}
 
-	vals = make([]int, o.Writers)
-	for w := 0; w < o.Writers; w++ {
-		read := func(name string) (int64, bool) {
-			v, err := db.Eval(name + ".v")
-			if err != nil {
-				addf("%s.v unreadable: %v", name, err)
-				return 0, false
-			}
-			n, ok := v.AsInt()
-			if !ok {
-				addf("%s.v = %v, not an int", name, v)
-				return 0, false
-			}
-			return n, true
+	read := func(name string) (int64, bool) {
+		v, err := db.Eval(name + ".v")
+		if err != nil {
+			addf("%s.v unreadable: %v", name, err)
+			return 0, false
 		}
+		n, ok := v.AsInt()
+		if !ok {
+			addf("%s.v = %v, not an int", name, v)
+			return 0, false
+		}
+		return n, true
+	}
+	vals = make([]int, o.Writers)
+	rounds := 0
+	for w := 0; w < o.Writers; w++ {
 		l, ok1 := read(fmt.Sprintf("L%d", w))
 		r, ok2 := read(fmt.Sprintf("R%d", w))
 		if !ok1 || !ok2 {
@@ -260,6 +280,14 @@ func checkGroupState(st map[string][]byte, o *GroupOracle) (vals []int, errs []s
 			addf("writer %d recovered round %d outside [0,%d]", w, l, o.Rounds)
 		}
 		vals[w] = int(l)
+		rounds += int(l)
+	}
+	if o.Chain {
+		// Every recovered round bumped S once, on top of the bump it read;
+		// a bump that survived without the one before it shows as S > rounds.
+		if s, ok := read("S"); ok && s != int64(rounds) {
+			addf("shared cell S = %d but %d rounds recovered: a commit survived without one it read, or lost its own bump", s, rounds)
+		}
 	}
 	return vals, errs
 }

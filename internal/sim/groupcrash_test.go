@@ -23,7 +23,7 @@ func TestGroupCommitTorture(t *testing.T) {
 	if os.Getenv("SENTINEL_TORTURE") == "full" {
 		stride = 1
 	}
-	res, err := GroupTorture(4, 8, stride)
+	res, err := GroupTorture(4, 8, stride, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestGroupCommitTorture(t *testing.T) {
 // completes every round, marks are journal-monotone per writer, and the
 // run actually exercised the coalescing path.
 func TestGroupWorkloadOracle(t *testing.T) {
-	o, err := RunGroupWorkload(vfs.NewFault(), 4, 6)
+	o, err := RunGroupWorkload(vfs.NewFault(), 4, 6, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,4 +70,42 @@ func TestGroupWorkloadOracle(t *testing.T) {
 	}
 	t.Logf("groups=%d grouped=%d (%.2f commits/flush), %d ops journaled",
 		o.Groups, o.Grouped, float64(o.Grouped)/float64(o.Groups), o.TotalOps)
+}
+
+// TestDependentChainTorture sweeps power cuts across the dependent chain:
+// every transaction also bumps the shared cell S, which it locks as soon as
+// the previous bump's batch is queued — it reads a write still in flight.
+// In every crash state no commit survives without the one it read (S equals
+// the number of recovered rounds), on top of TestGroupCommitTorture's
+// atomicity, floor and monotonicity checks. The run must also show the
+// dependent commits sharing flushes, which only early lock release allows.
+// The default run strides the sweep; SENTINEL_TORTURE=full forces stride 1.
+func TestDependentChainTorture(t *testing.T) {
+	stride := 3
+	if testing.Short() {
+		stride = 9
+	}
+	if os.Getenv("SENTINEL_TORTURE") == "full" {
+		stride = 1
+	}
+	o, err := RunGroupWorkload(vfs.NewFault(), 4, 6, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Grouped <= o.Groups {
+		t.Fatalf("dependent commits never shared a flush (groups=%d grouped=%d): locks outlive the enqueue", o.Groups, o.Grouped)
+	}
+	res, err := GroupTorture(4, 8, stride, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range res.Violations {
+		if i >= 25 {
+			t.Errorf("... and %d more violations", len(res.Violations)-i)
+			break
+		}
+		t.Error(v)
+	}
+	t.Logf("groups=%d grouped=%d; enumerated %d crash states (%d distinct reopens), %d violations",
+		o.Groups, o.Grouped, res.States, res.Reopens, len(res.Violations))
 }

@@ -130,21 +130,63 @@ func TestCommitBatchNoSyncSkipsFsync(t *testing.T) {
 	}
 }
 
-// TestCommitBatchInteropWithSyncBarrier mixes the legacy barrier path with
-// CommitBatch to ensure the shared syncedTo watermark stays coherent.
-func TestCommitBatchInteropWithSyncBarrier(t *testing.T) {
+// TestAwaitFlushedTicketIsFree: waiting for a position that is already
+// flushed — the zero ticket, or Last() after a durable commit — returns at
+// once without another write or fsync, which is what makes a read-only
+// commit's wait free on an idle log.
+func TestAwaitFlushedTicketIsFree(t *testing.T) {
 	l, _ := openTemp(t)
 	var fsyncs atomic.Int64
 	l.SetHooks(nil, func(time.Duration) { fsyncs.Add(1) })
+	if err := l.Await(l.Last()); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.CommitBatch([]Record{{Type: RecCommit, Tx: 1}}, true); err != nil {
 		t.Fatal(err)
 	}
-	// Everything appended so far is durable; the barrier must be satisfied
-	// without another fsync.
-	if err := l.SyncBarrier(); err != nil {
+	size := l.Size()
+	for _, tk := range []Ticket{0, l.Last()} {
+		if err := l.Await(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := fsyncs.Load(); n != 1 || l.Size() != size {
+		t.Fatalf("awaiting flushed tickets: %d fsyncs (want 1), %d bytes written", n, l.Size()-size)
+	}
+}
+
+// TestFlushHookSeesGroupInLogOrder: batches enqueued before anyone awaits
+// form one group; its leader hands the payloads to the flush hook in
+// enqueue order, once, and before any member's Await returns. A nil
+// payload (a CommitBatch caller's) is passed through as nil.
+func TestFlushHookSeesGroupInLogOrder(t *testing.T) {
+	l, _ := openTemp(t)
+	var calls [][]any
+	l.SetFlushHook(func(ps []any) { calls = append(calls, append([]any(nil), ps...)) })
+	var tickets []Ticket
+	for tx := uint64(1); tx <= 3; tx++ {
+		tk, err := l.Enqueue(commitRecs(tx), true, int(tx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	if len(calls) != 0 {
+		t.Fatalf("the hook ran before anyone awaited: %v", calls)
+	}
+	if err := l.Await(tickets[1]); err != nil {
 		t.Fatal(err)
 	}
-	if n := fsyncs.Load(); n != 1 {
-		t.Fatalf("barrier after durable group fsynced again (%d total, want 1)", n)
+	if len(calls) != 1 || len(calls[0]) != 3 || calls[0][0] != 1 || calls[0][1] != 2 || calls[0][2] != 3 {
+		t.Fatalf("flush hook calls %v, want one call with [1 2 3]", calls)
+	}
+	if err := l.Await(tickets[2]); err != nil || len(calls) != 1 {
+		t.Fatalf("awaiting a flushed member: %v, %d hook calls", err, len(calls))
+	}
+	if err := l.CommitBatch(commitRecs(4), true); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 2 || len(calls[1]) != 1 || calls[1][0] != nil {
+		t.Fatalf("flush hook calls %v, want a second call with [nil]", calls)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sentinel/internal/oid"
@@ -67,26 +68,24 @@ type Log struct {
 	fs   vfs.FS
 	f    vfs.File
 	path string
-	size int64
-	sync syncState // group-commit state (see SyncBarrier)
+	// size is written under mu and read without it, so Size never waits
+	// behind an fsync in progress.
+	size atomic.Int64
 
 	// buf is the reusable frame-encoding buffer for AppendBatch. Guarded
 	// by mu (appends serialize on it), so steady-state commits frame their
 	// records without allocating per record.
 	buf []byte
 
-	// group is the commit coalescer (see CommitBatch).
+	// group is the commit coalescer (see Enqueue and Await).
 	group groupState
 
-	// failed is the sticky fail-stop error, set under mu once a failed group
-	// flush could not be rewound (see rewind); every later flush refuses.
-	failed error
-
-	// Instrumentation hooks (see SetHooks / SetGroupHook); nil means
-	// uninstrumented.
+	// Instrumentation hooks (see SetHooks / SetGroupHook) and the flush hook
+	// (SetFlushHook); nil means none.
 	onAppend func(bytes int, d time.Duration)
 	onFsync  func(d time.Duration)
 	onGroup  func(commits int)
+	onFlush  func(payloads []any)
 }
 
 // Open opens (or creates) the log at path on the OS filesystem.
@@ -109,7 +108,10 @@ func OpenOn(fs vfs.FS, path string) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: seek: %w", err)
 	}
-	return &Log{fs: fs, f: f, path: path, size: size}, nil
+	l := &Log{fs: fs, f: f, path: path}
+	l.size.Store(size)
+	l.group.cond.L = &l.group.mu
+	return l, nil
 }
 
 // SetHooks installs instrumentation callbacks: onAppend observes every
@@ -130,11 +132,11 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-// Size returns the current log size in bytes.
+// Size returns the current log size in bytes. It takes no lock: a group's
+// fsync holds mu, and a caller asking whether the log outgrew a threshold
+// must not wait it out.
 func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
+	return l.size.Load()
 }
 
 // Path returns the log file path.
@@ -163,7 +165,7 @@ func (l *Log) appendLocked(r Record) error {
 	if _, err := l.f.Write(payload); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += int64(frameHeader + len(payload))
+	l.size.Add(int64(frameHeader + len(payload)))
 	if l.onAppend != nil {
 		l.onAppend(frameHeader+len(payload), time.Since(start))
 	}
@@ -214,7 +216,7 @@ func (l *Log) writeFramesLocked(fill func(buf []byte) []byte) error {
 	if _, err := l.f.Write(buf); err != nil {
 		return fmt.Errorf("wal: append batch: %w", err)
 	}
-	l.size += int64(len(buf))
+	l.size.Add(int64(len(buf)))
 	if l.onAppend != nil {
 		l.onAppend(len(buf), time.Since(start))
 	}
@@ -260,12 +262,7 @@ func (l *Log) Truncate() error {
 		return fmt.Errorf("wal: truncate syncdir: %w", err)
 	}
 	l.f = nf
-	l.size = nl.size
-	// The file was replaced: reset the group-commit high-water mark so
-	// stale offsets from the old file cannot satisfy new barriers.
-	l.sync.mu.Lock()
-	l.sync.syncedTo = 0
-	l.sync.mu.Unlock()
+	l.size.Store(nl.size.Load())
 	return nil
 }
 
@@ -292,7 +289,7 @@ func (l *Log) Replay(fn func(Record) error) error {
 		// so anything claiming more is damage (found by FuzzReplay, which
 		// crawled when bogus ~1 GiB lengths were allocated before the
 		// short read rejected them).
-		if ln > 1<<30 || int64(ln) > l.size-off-frameHeader {
+		if ln > 1<<30 || int64(ln) > l.size.Load()-off-frameHeader {
 			break
 		}
 		payload := make([]byte, ln)
@@ -317,12 +314,7 @@ func (l *Log) Replay(fn func(Record) error) error {
 	if err := l.f.Truncate(off); err != nil {
 		return fmt.Errorf("wal: drop torn tail: %w", err)
 	}
-	l.size = off
-	l.sync.mu.Lock()
-	if l.sync.syncedTo > off {
-		l.sync.syncedTo = off
-	}
-	l.sync.mu.Unlock()
+	l.size.Store(off)
 	return nil
 }
 
@@ -363,98 +355,67 @@ func decodePayload(buf []byte) (Record, error) {
 	return r, nil
 }
 
-// Group commit: concurrent committers that all need durability share one
-// fsync. SyncBarrier returns once every byte appended before the call is on
-// stable storage; under concurrency one caller becomes the leader and
-// fsyncs for the whole group while the others wait.
-
-type syncState struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	syncing  bool
-	syncedTo int64
-}
-
-func (l *Log) syncStateInit() {
-	if l.sync.cond == nil {
-		l.sync.cond = sync.NewCond(&l.sync.mu)
-	}
-}
-
-// SyncBarrier blocks until everything appended before the call is durable,
-// performing at most one fsync per waiting group.
-func (l *Log) SyncBarrier() error {
-	l.mu.Lock()
-	target := l.size
-	l.mu.Unlock()
-
-	s := &l.sync
-	s.mu.Lock()
-	l.syncStateInit()
-	for {
-		if s.syncedTo >= target {
-			s.mu.Unlock()
-			return nil
-		}
-		if !s.syncing {
-			break // become the leader
-		}
-		s.cond.Wait()
-	}
-	s.syncing = true
-	s.mu.Unlock()
-
-	// Leader: capture the current end of log, fsync, publish.
-	l.mu.Lock()
-	flushedTo := l.size
-	l.mu.Unlock()
-	err := l.fsync()
-
-	s.mu.Lock()
-	if err == nil && flushedTo > s.syncedTo {
-		s.syncedTo = flushedTo
-	}
-	s.syncing = false
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	return err
-}
-
 // ---- group commit ----
 //
-// CommitBatch is the transactional append path: concurrent committers
-// publish their record batches to a coalescer that frames every queued batch
-// into ONE buffered write and (when durability is requested) ONE fsync.
+// Enqueue and Await are the transactional append path. A committer enqueues
+// its record batch and gets a Ticket, its place in the log; Await(ticket)
+// returns once that batch and every batch enqueued before it are flushed.
+// What the committer does between the two — install its versions, release
+// its locks — overlaps the flush of the groups ahead of it (early lock
+// release: whoever reads its images enqueues after it, so can never become
+// durable first).
 //
-// The protocol is leader/follower with handoff:
+// Queued batches are coalesced into ONE buffered write and (when any of
+// them asks for durability) ONE fsync, leader/follower with handoff:
 //
-//   1. A caller enqueues its request. If no flush is in progress it becomes
-//      the leader immediately — an idle log commits at single-commit
-//      latency, there is no timer on this path.
+//   1. An awaiter whose ticket is not flushed yet and finds no flush in
+//      progress becomes the leader at once — an idle log commits at
+//      single-commit latency, there is no timer on this path.
 //   2. The leader claims the whole queue, releases the queue lock, flushes
-//      the group (one write, at most one fsync), then marks every claimed
-//      request done and broadcasts.
-//   3. Callers that arrived while the leader was flushing wait; the first
-//      one to wake with its request still unclaimed becomes the next leader
-//      and claims everything that accumulated during the flush. The fsync
-//      duration is therefore the natural batching window: the slower the
-//      device, the larger the groups, with no tuning.
+//      the group (one write, at most one fsync), hands the group's payloads
+//      to the flush hook, then marks every claimed ticket done and
+//      broadcasts.
+//   3. Awaiters whose tickets arrived during the flush wait; the first to
+//      wake with its ticket still unclaimed becomes the next leader and
+//      claims everything that accumulated meanwhile. The fsync duration is
+//      therefore the natural batching window: the slower the device, the
+//      larger the groups, with no tuning.
+//
+// A failed write or fsync cannot be rewound into "aborted": the group's
+// committers already released their locks, and later commits may have read
+// their images. Every member of the failed group gets ErrInDoubt, and the
+// log fail-stops: batches queued behind it are never written
+// (ErrFailStopped), and Enqueue refuses from then on.
+
+// Ticket is an enqueued batch's place in the log, in enqueue order. The
+// zero Ticket precedes every batch.
+type Ticket uint64
 
 // groupReq is one committer's batch waiting in the coalescer.
 type groupReq struct {
-	recs []Record
-	sync bool
-	done bool
-	err  error
+	recs    []Record
+	sync    bool
+	payload any
 }
 
-// groupState is the commit coalescer: a queue of waiting requests and a
-// single-flight flag. cond is broadcast after every flush.
+// groupState is the commit coalescer: a queue of enqueued requests and a
+// single-flight flag. Tickets up to done are flushed (or failed); those
+// above it are queued, or claimed by the flush in progress. cond is
+// broadcast after every flush.
 type groupState struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     sync.Cond
 	flushing bool
-	queue    []*groupReq
+	queue    []groupReq
+	spare    []groupReq // the last group's slice, reused by the next claim
+	payloads []any      // the leader's flush-hook argument, reused
+	issued   Ticket     // the last ticket handed out
+	done     Ticket     // every ticket at or below it is flushed or failed
+
+	// cause is the failed flush's error (nil while none failed); tickets
+	// doubtFrom..doubtTo were its group.
+	cause              error
+	doubtFrom, doubtTo Ticket
 }
 
 // SetGroupHook installs a callback observing every group flush with the
@@ -465,126 +426,144 @@ func (l *Log) SetGroupHook(fn func(commits int)) {
 	l.onGroup = fn
 }
 
-// ErrInDoubt reports a group whose flush failed and whose rewind failed
-// too: its records may or may not survive a crash, so its commits are
-// neither committed nor aborted until a reopen's recovery decides. The log
-// is fail-stopped from then on.
+// SetFlushHook installs the callback a leader runs after each successful
+// group flush and before any member's Await returns: it receives the
+// group's payloads (Enqueue's last argument) in log order. It runs while the
+// log holds none of its mutexes, on whichever goroutine leads the flush, and
+// must not call back into the Log. Call before the log sees concurrent use.
+func (l *Log) SetFlushHook(fn func(payloads []any)) {
+	l.onFlush = fn
+}
+
+// ErrInDoubt reports a batch whose group flush failed: its records may or
+// may not survive a crash, so its commit is neither committed nor aborted
+// until a reopen's recovery decides. The log is fail-stopped from then on.
 var ErrInDoubt = errors.New("wal: commit outcome in doubt")
 
-// ErrFailStopped refuses a commit after an earlier failed flush could not be
-// rewound. Nothing of the refused commit was written; reopen the log.
-var ErrFailStopped = errors.New("wal: log fail-stopped after a failed rewind")
+// ErrFailStopped refuses a batch after an earlier group flush failed.
+// Nothing of the refused batch was written; reopen the log.
+var ErrFailStopped = errors.New("wal: log fail-stopped after a failed flush")
 
-// CommitBatch appends the batch atomically with respect to other CommitBatch
-// callers and, when durable is set, returns only once the batch is on stable
-// storage. Concurrent callers are coalesced into one write + one fsync (see
-// the protocol comment above). On error every commit in the group reports
-// it, and the group's records are gone from the log — a failed flush is
-// rewound before anyone hears of it — unless the error is ErrInDoubt.
-func (l *Log) CommitBatch(recs []Record, durable bool) error {
+// Enqueue gives the batch its place in the log and returns at once; the
+// batch is written by the flush that claims it (see Await). payload is
+// handed to the flush hook with the group, nil for none. durable asks for
+// the group's fsync. Once a flush has failed, Enqueue refuses with
+// ErrFailStopped and queues nothing.
+func (l *Log) Enqueue(recs []Record, durable bool, payload any) (Ticket, error) {
 	g := &l.group
 	g.mu.Lock()
-	if g.cond == nil {
-		g.cond = sync.NewCond(&g.mu)
+	defer g.mu.Unlock()
+	if g.cause != nil {
+		return 0, fmt.Errorf("%w (%v)", ErrFailStopped, g.cause)
 	}
-	req := &groupReq{recs: recs, sync: durable}
-	g.queue = append(g.queue, req)
-	for !req.done && g.flushing {
-		g.cond.Wait()
+	g.issued++
+	g.queue = append(g.queue, groupReq{recs: recs, sync: durable, payload: payload})
+	return g.issued, nil
+}
+
+// Last returns the ticket of the most recently enqueued batch: Await(Last())
+// waits for everything enqueued so far, and returns at once when that is
+// flushed already.
+func (l *Log) Last() Ticket {
+	g := &l.group
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.issued
+}
+
+// Await blocks until the batch with ticket t, and every batch enqueued
+// before it, is flushed, leading flushes itself while nobody else does (see
+// the protocol comment above). It returns ErrInDoubt when t's group failed
+// and ErrFailStopped when an earlier group did.
+func (l *Log) Await(t Ticket) error {
+	g := &l.group
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.done < t {
+		if g.flushing {
+			g.cond.Wait()
+			continue
+		}
+		l.leadLocked()
 	}
-	if req.done {
-		// A leader flushed us while we waited (follower path).
-		err := req.err
-		g.mu.Unlock()
+	switch {
+	case g.cause == nil || t < g.doubtFrom:
+		return nil
+	case t <= g.doubtTo:
+		return fmt.Errorf("%w: %v", ErrInDoubt, g.cause)
+	default:
+		return fmt.Errorf("%w (%v)", ErrFailStopped, g.cause)
+	}
+}
+
+// CommitBatch appends the batch and, when durable is set, returns once it is
+// on stable storage: Enqueue then Await, for callers with nothing to
+// overlap.
+func (l *Log) CommitBatch(recs []Record, durable bool) error {
+	t, err := l.Enqueue(recs, durable, nil)
+	if err != nil {
 		return err
 	}
-	// Leader: claim everything queued, flush, hand off.
+	return l.Await(t)
+}
+
+// leadLocked claims every queued batch, flushes the group, runs the flush
+// hook and publishes the outcome. Caller holds g.mu with the queue non-empty
+// and no flush in progress; g.mu is released across the flush.
+func (l *Log) leadLocked() {
+	g := &l.group
 	g.flushing = true
-	batch := g.queue
-	g.queue = nil
+	batch, first, last := g.queue, g.done+1, g.issued
+	g.queue, g.spare = g.spare[:0], nil
+	stopped := g.cause != nil
 	g.mu.Unlock()
 
-	err := l.flushGroup(batch)
+	var err error
+	if !stopped {
+		if err = l.flushGroup(batch); err == nil && l.onFlush != nil {
+			ps := g.payloads[:0]
+			for i := range batch {
+				ps = append(ps, batch[i].payload)
+			}
+			l.onFlush(ps)
+			clear(ps)
+			g.payloads = ps[:0]
+		}
+	}
+	clear(batch) // the pooled slice must not pin records or payloads
 
 	g.mu.Lock()
-	for _, r := range batch {
-		r.done = true
-		r.err = err
+	if err != nil {
+		g.cause, g.doubtFrom, g.doubtTo = err, first, last
 	}
+	g.done = last
+	g.spare = batch[:0]
 	g.flushing = false
 	g.cond.Broadcast()
-	g.mu.Unlock()
-	return err
 }
 
 // flushGroup writes every claimed batch with one buffered write and fsyncs
-// once if any request wants durability. A failed write or fsync is rewound.
-func (l *Log) flushGroup(batch []*groupReq) error {
+// once if any request wants durability.
+func (l *Log) flushGroup(batch []groupReq) error {
 	l.mu.Lock()
-	if l.failed != nil {
-		l.mu.Unlock()
-		return l.failed
-	}
-	start := l.size
 	err := l.writeFramesLocked(func(buf []byte) []byte {
-		for _, r := range batch {
-			buf = frameRecords(buf, r.recs)
+		for i := range batch {
+			buf = frameRecords(buf, batch[i].recs)
 		}
 		return buf
 	})
-	target := l.size
 	l.mu.Unlock()
 	if l.onGroup != nil {
 		l.onGroup(len(batch))
 	}
 	durable := false
-	for _, r := range batch {
-		durable = durable || r.sync
+	for i := range batch {
+		durable = durable || batch[i].sync
 	}
 	if err == nil && durable {
 		err = l.fsync()
 	}
-	if err != nil {
-		return l.rewind(start, err)
-	}
-	if durable {
-		// Keep SyncBarrier's high-water mark coherent: everything up to
-		// target is durable now.
-		l.sync.mu.Lock()
-		if target > l.sync.syncedTo {
-			l.sync.syncedTo = target
-		}
-		l.sync.mu.Unlock()
-	}
-	return nil
-}
-
-// rewind undoes a failed group flush: the log is truncated back to where the
-// group began and that is synced, so no later fsync can make the failed
-// group's records durable behind its committers' "aborted". If the rewind
-// fails too, the group's fate is unknown (ErrInDoubt) and the log
-// fail-stops: every later flush refuses with ErrFailStopped.
-func (l *Log) rewind(start int64, cause error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.f.Truncate(start)
-	if err == nil {
-		_, err = l.f.Seek(start, io.SeekStart)
-	}
-	if err == nil {
-		err = l.f.Sync()
-	}
-	if err != nil {
-		l.failed = fmt.Errorf("%w (flush: %v; rewind: %v)", ErrFailStopped, cause, err)
-		return fmt.Errorf("%w: %v; rewinding the log failed: %v", ErrInDoubt, cause, err)
-	}
-	l.size = start
-	l.sync.mu.Lock()
-	if l.sync.syncedTo > start {
-		l.sync.syncedTo = start
-	}
-	l.sync.mu.Unlock()
-	return cause
+	return err
 }
 
 func (l *Log) fsync() error {

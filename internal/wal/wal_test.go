@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sentinel/internal/oid"
@@ -232,8 +233,18 @@ func TestConcurrentAppendsDoNotInterleave(t *testing.T) {
 	}
 }
 
-func TestSyncBarrierGroupCommit(t *testing.T) {
+// TestAwaitLastCoversQueuedBatches: concurrent committers each enqueue a
+// batch and wait on Last() rather than on their own ticket. Whatever ticket
+// Last() names, every batch enqueued before it — the waiter's own included
+// — has been through the flush hook when Await returns, and every record
+// replays. Tickets stay ordered across a Truncate.
+func TestAwaitLastCoversQueuedBatches(t *testing.T) {
 	l, _ := openTemp(t)
+	l.SetFlushHook(func(ps []any) {
+		for _, p := range ps {
+			p.(*atomic.Bool).Store(true)
+		}
+	})
 	const workers, per = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -241,15 +252,20 @@ func TestSyncBarrierGroupCommit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := l.AppendBatch([]Record{
+				flushed := new(atomic.Bool)
+				if _, err := l.Enqueue([]Record{
 					{Type: RecUpdate, Tx: uint64(w), OID: oid.OID(i + 1), Data: []byte("x")},
 					{Type: RecCommit, Tx: uint64(w)},
-				}); err != nil {
+				}, true, flushed); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := l.SyncBarrier(); err != nil {
+				if err := l.Await(l.Last()); err != nil {
 					t.Error(err)
+					return
+				}
+				if !flushed.Load() {
+					t.Errorf("worker %d: Await(Last()) returned before its own batch was flushed", w)
 					return
 				}
 			}
@@ -259,14 +275,18 @@ func TestSyncBarrierGroupCommit(t *testing.T) {
 	if got := len(collect(t, l)); got != workers*per*2 {
 		t.Fatalf("records = %d, want %d", got, workers*per*2)
 	}
-	// The barrier still works after a truncate (offsets reset).
+	before := l.Last()
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{Type: RecCommit, Tx: 1}); err != nil {
+	tk, err := l.Enqueue([]Record{{Type: RecCommit, Tx: 1}}, true, new(atomic.Bool))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.SyncBarrier(); err != nil {
+	if tk <= before {
+		t.Fatalf("ticket %d after a truncate does not follow %d", tk, before)
+	}
+	if err := l.Await(tk); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,6 @@
 // Replication payloads. A primary ships every committed WAL batch to its
 // followers as one OpReplFrames push: the batch's replication LSN, the raw
-// redo records (the same records CommitBatch wrote locally), and the
+// redo records (the same records the commit logged locally), and the
 // occurrences the transaction raised, so the follower can fan pushes out to
 // its own subscribers. Base state for a fresh follower streams as OpReplSnap
 // chunks (object images) terminated by OpReplSnapEnd (the base LSN).
