@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sentinel/internal/event"
@@ -42,9 +43,8 @@ func (db *Database) heapErr() error {
 // commitState is what the stages of one commit hand to each other.
 type commitState struct {
 	lsn uint64 // MVCC commit LSN; 0 for a read-only commit
-	// batch is the enqueued WAL batch. It is non-nil exactly from a
-	// successful Enqueue in logCommit until awaitDurable returns — the
-	// window in which the commit holds ckptMu shared.
+	// batch is the enqueued WAL batch, non-nil from a successful Enqueue in
+	// logCommit until awaitDurable returns it to the pool.
 	batch *commitScratch
 	// ticket is the log position awaitDurable waits for: the batch's own,
 	// or, for a commit that logged nothing, the last batch enqueued before
@@ -59,16 +59,24 @@ type commitState struct {
 // into, so record framing stops allocating per record. It is also the WAL
 // payload the flush leader applies and ships (flushed): occs are the
 // occurrences the batch carries to followers, replLSN the replication LSN
-// the leader numbered it with. Commits run concurrently (they hold ckptMu
-// only shared), hence a sync.Pool rather than a Database field.
+// the leader numbered it with. lsn is the commit's MVCC LSN and unsettled
+// counts the two parties that must both be done before it ends: the
+// committer's install and the leader's apply. Commits run concurrently,
+// hence a sync.Pool rather than a Database field.
 type commitScratch struct {
-	ids     []oid.OID
-	recs    []wal.Record
-	classes []string
-	buf     []byte
-	occs    []event.Occurrence
-	replLSN uint64
+	ids       []oid.OID
+	recs      []wal.Record
+	classes   []string
+	buf       []byte
+	occs      []event.Occurrence
+	replLSN   uint64
+	lsn       uint64
+	unsettled atomic.Int32
 }
+
+// settle marks one party done with the batch's LSN and reports whether it
+// was the last.
+func (sc *commitScratch) settle() bool { return sc.unsettled.Add(-1) == 0 }
 
 var commitScratchPool = sync.Pool{New: func() any { return new(commitScratch) }}
 
@@ -94,19 +102,19 @@ const (
 // earlier group failed first, so its batch was never written).
 func (db *Database) Commit(t *Tx) error { return db.commitHead(t).Finish() }
 
-// Pending is a commit cut after awaitDurable. The transaction is over — its
-// batch durable, applied and shipped, its versions visible to snapshots, its
-// locks released — and what is left is the tail: awaitQuorum → publishCommit
-// → reclaimCommit → dispatchDetached. Finish runs the tail and returns what
+// Pending is a commit cut after releaseCommit. The transaction is over — its
+// batch queued in the WAL, its versions installed, its locks released — and
+// what is left is the tail: awaitDurable → awaitQuorum → publishCommit →
+// reclaimCommit → dispatchDetached. Finish runs the tail and returns what
 // Commit would have; call it exactly once, and finish the Pendings of one
 // caller in the order their heads ran, so pushes leave in commit order.
-// Commit is head + Finish inline; internal/server parks the tail of a
-// quorum commit so its session can read the next request meanwhile.
+// Commit is head + Finish inline; internal/server parks a tail that blocks
+// so its session can execute the next request while the batch flushes.
 type Pending struct {
-	t       *Tx       // nil when no commit started (the body failed, or Commit was misused)
-	err     error     // the head's answer; non-nil means there is no tail
-	start   time.Time // when Commit began
-	replLSN uint64    // the shipped batch the quorum wait is for; 0 when none
+	t     *Tx         // nil when no commit started (the body failed, or Commit was misused)
+	err   error       // the head's answer; non-nil means there is no tail
+	start time.Time   // when Commit began
+	c     commitState // what the head hands the tail
 }
 
 // Finish runs the commit's tail and returns the commit's outcome. The commit
@@ -118,7 +126,7 @@ func (p Pending) Finish() error {
 	}
 	db, err := t.db, p.err
 	if err == nil {
-		err = db.commitTail(t, p.replLSN)
+		err = db.commitTail(t, &p.c)
 	}
 	// Commits are low-frequency relative to raises, so the full duration —
 	// deferred drain, logging, fsync, quorum wait, detached dispatch — is
@@ -131,14 +139,21 @@ func (p Pending) Finish() error {
 	return err
 }
 
-// AwaitsQuorum reports whether Finish will block on follower acks: the head
-// committed a logged batch and Options.SyncReplicas asks for a quorum.
-func (p Pending) AwaitsQuorum() bool {
-	if p.t == nil || p.err != nil || p.replLSN == 0 {
-		return false
+// Blocks reports whether Finish will block: the head left a log position to
+// wait for — its own batch, or one it may have read — and, with it, any
+// quorum wait.
+func (p Pending) Blocks() bool {
+	return p.t != nil && p.err == nil && p.c.ticket != 0
+}
+
+// Park starts the flush of the commit's log position without waiting for it,
+// for a tail that will not run Finish at once: flushes are led by awaiters,
+// so a batch nobody awaits would otherwise stay queued. Finish still reports
+// the flush's outcome.
+func (p Pending) Park() {
+	if p.Blocks() {
+		go p.t.db.log.Await(p.c.ticket)
 	}
-	db := p.t.db
-	return db.opts.SyncReplicas > 0 && db.repl.Load().WaitQuorum != nil
 }
 
 // commitHead checks the transaction and runs the stage list's head.
@@ -150,7 +165,7 @@ func (db *Database) commitHead(t *Tx) Pending {
 		return Pending{err: txn.ErrNotActive}
 	}
 	p := Pending{t: t, start: time.Now()}
-	p.replLSN, p.err = db.commit(t)
+	p.err = db.commit(t, &p.c)
 	return p
 }
 
@@ -160,26 +175,25 @@ func (db *Database) commitHead(t *Tx) Pending {
 // it is durable, so a failed flush can no longer abort it (awaitDurable). A
 // fenced quorum wait skips only the two stages that publish the commit to
 // the outside.
-func (db *Database) commit(t *Tx) (replLSN uint64, err error) {
+func (db *Database) commit(t *Tx, c *commitState) error {
 	if err := db.drainDeferred(t); err != nil {
 		db.Abort(t)
-		return 0, err
+		return err
 	}
-	var c commitState
-	if err := db.logCommit(t, &c); err != nil {
+	if err := db.logCommit(t, c); err != nil {
 		db.Abort(t)
-		return 0, fmt.Errorf("core: commit not durable (transaction aborted): %w", err)
+		return fmt.Errorf("core: commit not durable (transaction aborted): %w", err)
 	}
-	db.installCommit(t, &c)
+	db.installCommit(t, c)
 	db.releaseCommit(t)
-	if err := db.awaitDurable(&c); err != nil {
-		return 0, err
-	}
-	return c.replLSN, nil
+	return nil
 }
 
-func (db *Database) commitTail(t *Tx, replLSN uint64) error {
-	err := db.awaitQuorum(replLSN)
+func (db *Database) commitTail(t *Tx, c *commitState) error {
+	if err := db.awaitDurable(c); err != nil {
+		return err
+	}
+	err := db.awaitQuorum(c.replLSN)
 	if err == nil {
 		db.publishCommit(t)
 	}
@@ -216,7 +230,7 @@ func (db *Database) drainDeferred(t *Tx) error {
 // means the batch is queued. A commit that logs nothing notes the last batch
 // queued before it instead: it may have read that batch's images.
 //
-//	holds:     2PL locks, pins; takes ckptMu shared and keeps it until awaitDurable
+//	holds:     2PL locks, pins; ckptMu shared around the Enqueue only
 //	blocks on: ckptMu (a running checkpoint or base-state capture)
 //	publishes: the batch's place in the log
 func (db *Database) logCommit(t *Tx, c *commitState) error {
@@ -259,10 +273,12 @@ func (db *Database) logCommit(t *Tx, c *commitState) error {
 	// Once enqueued the batch belongs to whichever goroutine leads its
 	// flush, so everything it ships goes in first.
 	sc.occs, t.replOccs = t.replOccs, nil
+	sc.lsn = c.lsn
+	sc.unsettled.Store(2)
 	db.ckptMu.RLock()
 	ticket, err := db.log.Enqueue(sc.recs, db.opts.SyncOnCommit, sc)
+	db.ckptMu.RUnlock()
 	if err != nil {
-		db.ckptMu.RUnlock()
 		db.lsn.end(c.lsn) // abandoned: nothing installs at this LSN
 		sc.release()
 		return err
@@ -334,7 +350,7 @@ func (sc *commitScratch) release() {
 	for i := range sc.recs {
 		sc.recs[i].Data = nil
 	}
-	sc.occs, sc.replLSN = nil, 0
+	sc.occs, sc.replLSN, sc.lsn = nil, 0, 0
 	if cap(sc.recs) > maxCommitScratchRecs {
 		sc.ids, sc.recs, sc.classes = nil, nil, nil
 	}
@@ -344,17 +360,23 @@ func (sc *commitScratch) release() {
 	commitScratchPool.Put(sc)
 }
 
-// installCommit publishes the write set's versions at the commit LSN. The
-// LSN stays open until awaitDurable, so no snapshot sees them before the
-// batch is durable; with the 2PL locks still held, per-object LSN order
-// equals commit order.
+// installCommit publishes the write set's versions at the commit LSN; with
+// the 2PL locks still held, per-object LSN order equals commit order. The
+// LSN ends once the versions are installed and the batch is flushed and
+// applied — here or in flushed, whichever is second — so no snapshot sees
+// them before the batch is durable and in the heap. A commit that logged
+// nothing ends it here.
 //
-//	holds:     2PL locks, pins, ckptMu shared; directory shard locks, one at a time
+//	holds:     2PL locks, pins; directory shard locks, one at a time
 //	blocks on: nothing
 //	publishes: the new versions, to snapshots once the LSN ends
 func (db *Database) installCommit(t *Tx, c *commitState) {
-	if c.lsn != 0 {
-		db.installVersions(t, c.lsn)
+	if c.lsn == 0 {
+		return
+	}
+	db.installVersions(t, c.lsn)
+	if c.batch == nil || c.batch.settle() {
+		db.lsn.end(c.lsn)
 	}
 }
 
@@ -364,7 +386,7 @@ func (db *Database) installCommit(t *Tx, c *commitState) {
 // enqueues its own batch behind this one, so it can never become durable
 // first. Detectors of tx-scoped rules the transaction fed reset here.
 //
-//	holds:     ckptMu shared on return when a batch was enqueued
+//	holds:     nothing of its own
 //	blocks on: nothing
 //	publishes: the write set to lock waiters
 func (db *Database) releaseCommit(t *Tx) {
@@ -375,26 +397,23 @@ func (db *Database) releaseCommit(t *Tx) {
 	t.releaseSnapshot()
 }
 
-// awaitDurable waits until the commit's place in the log is flushed: its own
-// batch, or — for a commit that logged nothing — every batch queued before
-// it released its locks, since it may have read their images (Aether's
-// flush-pipelining rule; free while the log is idle). By then the flush
-// leader has applied and shipped the batch (flushed), so the LSN ends here:
-// snapshots see a commit only once it is durable and in the heap. A failed
-// flush cannot roll back a transaction whose locks are gone, so the commit
-// is reported in doubt; its LSN never ends, and the log stays fail-stopped
-// until a reopen's recovery decides.
+// awaitDurable, the first stage of the tail — which may run on another
+// goroutine than the head (Pending.Finish) — waits until the commit's place
+// in the log is flushed: its own batch, or — for a commit that logged nothing —
+// every batch queued before it released its locks, since it may have read
+// their images (Aether's flush-pipelining rule; free while the log is
+// idle). By then the flush leader has applied and shipped the batch
+// (flushed). A failed flush cannot roll back a transaction whose locks are
+// gone, so the commit is reported in doubt; its LSN never ends, and the log
+// stays fail-stopped until a reopen's recovery decides.
 //
-//	holds:     ckptMu shared until it returns
+//	holds:     nothing
 //	blocks on: the WAL group flush (leading it when nobody else does)
-//	publishes: the stable LSN; ckptMu, to checkpoints
+//	publishes: nothing
 func (db *Database) awaitDurable(c *commitState) error {
 	var err error
 	if c.ticket != 0 {
 		err = db.log.Await(c.ticket)
-	}
-	if err == nil && c.lsn != 0 {
-		db.lsn.end(c.lsn)
 	}
 	if c.batch == nil {
 		if err != nil {
@@ -403,7 +422,6 @@ func (db *Database) awaitDurable(c *commitState) error {
 		return nil
 	}
 	c.replLSN = c.batch.replLSN
-	db.ckptMu.RUnlock()
 	c.batch.release()
 	c.batch = nil
 	switch {
@@ -419,16 +437,20 @@ func (db *Database) awaitDurable(c *commitState) error {
 // runs it with the group's batches in log order, before any member's
 // awaitDurable returns. Applying there keeps the WAL rule — the heap holds
 // only durable images — and shipping there keeps replication-LSN order equal
-// to log order, even between dependent commits that share a group.
+// to log order, even between dependent commits that share a group. Each
+// batch's LSN ends here when its committer installed already.
 //
-//	holds:     nothing of its own; every batch's committer holds ckptMu shared
+//	holds:     nothing of its own; a checkpoint may hold ckptMu exclusive, awaiting this flush
 //	blocks on: applyCommit's page I/O, replMu
-//	publishes: see applyCommit and shipCommit
+//	publishes: see applyCommit and shipCommit; the stable LSN
 func (db *Database) flushed(payloads []any) {
 	for _, p := range payloads {
 		if sc, ok := p.(*commitScratch); ok {
 			db.applyCommit(sc)
 			db.shipCommit(sc)
+			if sc.settle() {
+				db.lsn.end(sc.lsn)
+			}
 		}
 	}
 }
@@ -469,10 +491,9 @@ func (db *Database) applyCommit(sc *commitScratch) {
 // count dense. Every coalesced transaction gets its own LSN, in log order —
 // a commit that read another's write is behind it in the log — and follower
 // acks are monotone, so one ack at the highest satisfies every quorum waiter
-// below it. Ship only encodes and buffers (see Replicator). When the last
-// committer of the group releases ckptMu the heap holds exactly the batches
-// numbered 1..replLSN, which is what Checkpoint and ReplBaseState record
-// under the exclusive lock.
+// below it. Ship only encodes and buffers (see Replicator). Checkpoint and
+// ReplBaseState flush every queued batch under ckptMu exclusive, so the heap
+// they record holds exactly the batches numbered 1..replLSN.
 //
 //	holds:     replMu (run by flushed)
 //	blocks on: replMu only — another leader's encode-and-buffer
@@ -490,8 +511,7 @@ func (db *Database) shipCommit(sc *commitScratch) {
 // awaitQuorum blocks until Options.SyncReplicas followers durably acked the
 // commit's batch. A timeout degrades the commit to asynchronous (counted,
 // not failed). ErrFenced means a follower was promoted while we waited: the
-// commit is durable here but will never be acknowledged. From here on the
-// stages may run on another goroutine than the head (Pending.Finish).
+// commit is durable here but will never be acknowledged.
 //
 //	holds:     nothing — the ack path (follower sessions → Replicator) shares no state with this goroutine
 //	blocks on: follower acks, bounded by Options.QuorumTimeout
@@ -544,7 +564,7 @@ func (db *Database) publishCommit(t *Tx) {
 // the directory holds the sole copy of the unapplied batch.
 //
 //	holds:     nothing on entry; shard locks, ccMu, and — for a checkpoint — ckptMu exclusive
-//	blocks on: checkpoint I/O, and ckptMu behind commits between logCommit and awaitDurable
+//	blocks on: checkpoint I/O and the flush of every queued batch; ckptMu behind an Enqueue
 //	publishes: freed entries; a truncated WAL
 func (db *Database) reclaimCommit(t *Tx) {
 	if db.heapErr() != nil {

@@ -7,6 +7,7 @@ package core
 // fail-stopped behind it).
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	iofs "io/fs"
@@ -588,9 +589,10 @@ func TestSynchronousCommitAllocs(t *testing.T) {
 }
 
 // TestPendingLeavesTailToFinish: ExecPending returns with the transaction
-// over — its write visible to a snapshot, its lock free for the next
-// writer — but the quorum wait, the push and the detached firing wait for
-// Finish, which runs them in stage order.
+// over — its batch queued, its lock free for the next transaction — but the
+// durability wait (whose flush ships the batch), the quorum wait, the push
+// and the detached firing wait for Finish, which runs them in stage order.
+// Snapshots see the write only once Finish made it durable.
 func TestPendingLeavesTailToFinish(t *testing.T) {
 	db, id := quorumDB(t, false)
 	defer db.Close()
@@ -614,7 +616,11 @@ func TestPendingLeavesTailToFinish(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetReplicator(Replicator{
-		Ship: func(ReplBatch) {},
+		Ship: func(b ReplBatch) {
+			if b.LSN != 0 {
+				log.add("durable")
+			}
+		},
 		WaitQuorum: func(uint64, int, time.Duration) error {
 			log.add("quorum-wait")
 			return nil
@@ -624,11 +630,19 @@ func TestPendingLeavesTailToFinish(t *testing.T) {
 		_, err := db.Send(tx, id, "Set", value.Float(5))
 		return err
 	})
-	if !p.AwaitsQuorum() {
-		t.Fatal("a logged quorum commit does not report AwaitsQuorum")
+	if !p.Blocks() {
+		t.Fatal("a logged commit does not report that its tail blocks")
 	}
-	if got := readX(t, db, id); got != 5 {
-		t.Fatalf("after the head x = %v, want 5 (visible, lock released)", got)
+	// The lock is free: a 2PL transaction reads the installed write at once.
+	// It aborts, so it awaits no flush.
+	tx := db.Begin()
+	v, err := db.Get(tx, id, "x")
+	db.Abort(tx)
+	if err != nil || !v.Equal(value.Float(5)) {
+		t.Fatalf("after the head a 2PL read got x = %v, %v; want 5 (lock released)", v, err)
+	}
+	if got := readSnapshotX(t, db, id); got != 0 {
+		t.Fatalf("after the head a snapshot reads x = %v, want 0 (not durable yet)", got)
 	}
 	if got := log.snapshot(); len(got) != 0 {
 		t.Fatalf("the head ran tail stages: %q", got)
@@ -636,8 +650,84 @@ func TestPendingLeavesTailToFinish(t *testing.T) {
 	if err := p.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"quorum-wait", "push", "detached effect"}
+	want := []string{"durable", "quorum-wait", "push", "detached effect"}
 	if got := log.snapshot(); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("Finish ran %q, want %q", got, want)
+	}
+	if got := readSnapshotX(t, db, id); got != 5 {
+		t.Fatalf("after Finish a snapshot reads x = %v, want 5", got)
+	}
+}
+
+func readSnapshotX(t *testing.T, db *Database, id oid.OID) float64 {
+	t.Helper()
+	snap := db.BeginSnapshot()
+	defer db.Abort(snap)
+	v, err := db.Get(snap, id, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := v.Numeric()
+	return x
+}
+
+// TestCheckpointAwaitsQueuedBatch: a checkpoint taken while a commit's batch
+// is queued but unflushed — its head ran, nobody awaits it yet — flushes it
+// first, so the checkpointed heap includes it, and a base-state capture
+// taken the same way is labelled with exactly the batches its heap holds.
+func TestCheckpointAwaitsQueuedBatch(t *testing.T) {
+	fs := vfs.NewMem()
+	db := MustOpen(Options{Dir: "db", VFS: fs, SyncOnCommit: true, Output: io.Discard})
+	mkPersistentClass(t, db)
+	id := mkPersistentObjects(t, db, 1)[0]
+	set := func(x float64) Pending {
+		return db.atomicallyPending(func(tx *Tx) error { return db.Set(tx, id, "x", value.Float(x)) })
+	}
+	lsn0 := db.ReplLSN()
+
+	p := set(42)
+	if db.ReplLSN() != lsn0 {
+		t.Fatal("the head flushed its own batch")
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.ReplLSN(); got != lsn0+1 {
+		t.Fatalf("after the checkpoint ReplLSN = %d, want %d", got, lsn0+1)
+	}
+	// The checkpoint truncated the WAL, so only its heap can carry x = 42.
+	ckpt := vfs.NewMem()
+	ckpt.Install(fs.Snapshot())
+	if err := p.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := MustOpen(Options{Dir: "db", VFS: ckpt, Output: io.Discard})
+	if got := readX(t, reopened, id); got != 42 {
+		t.Fatalf("the checkpointed heap holds x = %v, want the queued batch's 42", got)
+	}
+	reopened.CloseAbrupt()
+
+	p = set(43)
+	base, err := db.ReplBaseState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.LSN != lsn0+2 {
+		t.Fatalf("base state labelled LSN %d, want %d (the queued batch included)", base.LSN, lsn0+2)
+	}
+	found := false
+	for _, o := range base.Objects {
+		if o.ID == id {
+			found = bytes.Contains(o.Img, value.AppendValue(nil, value.Float(43)))
+		}
+	}
+	if !found {
+		t.Fatal("the base state's heap image lacks the queued batch's write")
+	}
+	if err := p.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

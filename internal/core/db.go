@@ -97,12 +97,12 @@ type Database struct {
 	lastSweep atomic.Uint64
 
 	// ckptMu fences checkpoints against commits: a commit holds it shared
-	// from its WAL enqueue until its batch is durable, applied and shipped
-	// (commit.go), Checkpoint holds it exclusively for flush + truncate, so
-	// a commit can never land its WAL records between the heap flush and the
-	// log truncation (which would silently drop it). heapBehind is the
-	// ErrHeapBehind fail-stop: set once, by a heap apply that failed behind
-	// its commit record.
+	// around its WAL enqueue (commit.go); Checkpoint holds it exclusively,
+	// awaits every batch already queued, then flushes the heap and truncates
+	// the log, so a commit can never land its WAL records between the heap
+	// flush and the log truncation (which would silently drop it).
+	// heapBehind is the ErrHeapBehind fail-stop: set once, by a heap apply
+	// that failed behind its commit record.
 	ckptMu      sync.RWMutex
 	ckptRunning atomic.Bool
 	heapBehind  atomic.Pointer[error]

@@ -477,17 +477,18 @@ func (db *Database) rebuildRule(o *object.Object) error {
 // Checkpoint flushes committed state to the heap, writes the object table
 // (with each object's class) and the metadata atomically, and truncates the
 // WAL. After a checkpoint, recovery restarts from this state.
-// It holds ckptMu exclusively so no commit can append WAL records between
+// It holds ckptMu exclusively so no commit can enqueue WAL records between
 // the heap flush and the log truncation (those records would vanish), and
-// refuses with ErrHeapBehind once the heap lags the log: truncating then
-// would lose the unapplied batch.
+// first awaits every batch enqueued before it, so the heap it flushes holds
+// them all. It refuses once the log fail-stopped or the heap lags the log
+// (ErrHeapBehind): truncating then would lose an unapplied batch.
 func (db *Database) Checkpoint() error {
 	if db.store == nil {
 		return nil
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
-	if err := db.heapErr(); err != nil {
+	if err := db.awaitQueued(); err != nil {
 		return err
 	}
 	db.mu.RLock()
@@ -501,6 +502,17 @@ func (db *Database) Checkpoint() error {
 	}
 	db.met.checkpoints.Inc()
 	return nil
+}
+
+// awaitQueued flushes every batch enqueued so far — its flush applies and
+// ships it — and then reports what keeps the heap from mirroring the log:
+// the log's fail-stop, or ErrHeapBehind. Caller holds ckptMu exclusive, so
+// nothing enqueues meanwhile.
+func (db *Database) awaitQueued() error {
+	if err := db.log.Await(db.log.Last()); err != nil {
+		return err
+	}
+	return db.heapErr()
 }
 
 // maybeAutoCheckpoint checkpoints when the WAL has outgrown the configured

@@ -175,19 +175,20 @@ type ReplBaseState struct {
 
 // ReplBaseState captures the heap at an exact replication LSN. It holds
 // ckptMu exclusively for the duration of the scan: a commit holds ckptMu
-// shared across WAL-append + heap-apply + ship, so with the exclusive lock
-// held the heap contains precisely the batches numbered 1..ReplLSN — the
-// follower installing this state resumes the stream at LSN+1 with nothing
-// lost and nothing doubled. Commits block while the scan copies images;
-// base syncs are rare (fresh follower, or one lagged past the ring), so
-// the pause is the price of an exact cut.
+// shared around its WAL enqueue, and the capture awaits every batch enqueued
+// before it (each is applied and shipped by its flush), so the heap contains
+// precisely the batches numbered 1..ReplLSN — the follower installing this
+// state resumes the stream at LSN+1 with nothing lost and nothing doubled.
+// Commits block while the scan copies images; base syncs are rare (fresh
+// follower, or one lagged past the ring), so the pause is the price of an
+// exact cut.
 func (db *Database) ReplBaseState() (*ReplBaseState, error) {
 	if db.store == nil {
 		return nil, errors.New("core: base state requires a persistent database")
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
-	if err := db.heapErr(); err != nil {
+	if err := db.awaitQueued(); err != nil {
 		return nil, err
 	}
 	st := &ReplBaseState{LSN: db.ReplLSN()}

@@ -1,9 +1,10 @@
 package server_test
 
-// The pipelined session: with SyncReplicas=1 an EXEC's quorum wait parks
-// (core.Pending) and the reader moves on. These tests hold the quorum in
-// their hand — a fake follower attached over the wire acks only when told —
-// and read the session's frames raw, so the wire order is what they check.
+// The pipelined session: an EXEC's durability wait and, with SyncReplicas=1,
+// its quorum wait park (core.Pending) and the reader moves on. These tests
+// hold the quorum in their hand — a fake follower attached over the wire
+// acks only when told — and read the session's frames raw, so the wire order
+// is what they check.
 
 import (
 	"context"
@@ -312,6 +313,144 @@ func TestTeardownFinishesParkedTails(t *testing.T) {
 	}
 	if got := stableGoroutines(5*time.Second, baseline); got > baseline {
 		t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, got)
+	}
+}
+
+// TestPipelinedReadSeesOwnWrite: a GET pipelined behind an EXEC whose flush
+// is still in progress (a slow fsync, no quorum) waits for that EXEC's tail,
+// so the session reads its own write.
+func TestPipelinedReadSeesOwnWrite(t *testing.T) {
+	c := startQuorum(t, func(o *core.Options) {
+		o.VFS = vfs.NewLatency(vfs.NewMem(), 50*time.Millisecond, 0)
+		o.SyncOnCommit, o.SyncReplicas, o.QuorumTimeout = true, 0, 0
+	}, nil)
+	r := rawDial(t, c.srv)
+	id := lookupA(t, r)
+	exec := r.exec(t, "A!SetVal(7)")
+	get := r.send(t, wire.OpGet, wire.AppendValues(nil, value.Ref(id), value.Str("val")))
+	r.expectResp(t, exec, wire.OpOK)
+	f := r.next(t)
+	if f.Op != wire.OpResult || f.ReqID != get {
+		t.Fatalf("got %s for req %d, want the GET's result", wire.OpName(f.Op), f.ReqID)
+	}
+	vals, err := wire.DecodeValues(f.Payload, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := vals[0].AsInt(); v != 7 {
+		t.Fatalf("pipelined GET read val = %v, want the session's own 7", vals[0])
+	}
+}
+
+// TestParkedTailsAcrossAutoCheckpoint: with a checkpoint after every commit,
+// 200 EXECs pipelined 4 deep — their quorum acks first withheld, then
+// flowing — are all answered OK. The completer's checkpoint awaits the
+// batches the reader queued meanwhile and must not wait on those EXECs'
+// tails, which only the completer itself would run.
+func TestParkedTailsAcrossAutoCheckpoint(t *testing.T) {
+	c := startQuorum(t, func(o *core.Options) { o.CheckpointBytes = 1 }, nil)
+	r := rawDial(t, c.srv)
+	checkpoints := c.db.Stats().Storage.Checkpoints
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		time.Sleep(100 * time.Millisecond) // withheld: the first tails wait in their quorum waits
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if c.fol.ReplAck(context.Background(), c.db.ReplLSN(), c.pri.Epoch()) != nil {
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+
+	const n, depth = 200, 4
+	deadline := time.Now().Add(30 * time.Second)
+	var window []uint32
+	for i := 1; i <= n || len(window) > 0; {
+		if i <= n && len(window) < depth {
+			window = append(window, r.exec(t, fmt.Sprintf("A!SetVal(%d)", i)))
+			i++
+			continue
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d EXECs still unanswered after 30 s", n-i+1+len(window))
+		}
+		f := r.next(t)
+		if f.Op != wire.OpOK || f.ReqID != window[0] {
+			t.Fatalf("got %s for req %d (%q), want OK for req %d", wire.OpName(f.Op), f.ReqID, wire.DecodeErr(f.Payload), window[0])
+		}
+		window = window[1:]
+	}
+	if c.db.Stats().Storage.Checkpoints == checkpoints {
+		t.Fatal("no automatic checkpoint ran")
+	}
+}
+
+// TestParkedTailsInDoubt: EXECs parked behind a tail in its quorum wait have
+// their own batches flushed meanwhile; when that flush's fsync fails, none of
+// them — the failed group or anything queued behind it — is answered OK, the
+// next EXEC is a clean refusal, and a power cut keeps every commit that was
+// answered OK.
+func TestParkedTailsInDoubt(t *testing.T) {
+	fs := vfs.NewFault()
+	c := startQuorum(t, func(o *core.Options) { o.VFS, o.SyncOnCommit = fs, true }, nil)
+	r := rawDial(t, c.srv)
+	lsn0 := c.db.ReplLSN()
+	first := r.exec(t, "A!SetVal(1)")
+	c.waitLSN(t, lsn0+1)                   // durable and shipped; its tail waits for the ack
+	fs.FailNthOp(fs.Ops()+2, vfs.FaultEIO) // the next group's WAL write succeeds, its fsync fails
+	const k = 4
+	parked := make([]uint32, k)
+	for i := range parked {
+		parked[i] = r.exec(t, fmt.Sprintf("A!SetVal(%d)", 10+i))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for fs.Injected() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the parked EXECs' batches were never flushed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	r.silent(t, "before the ack")
+
+	c.ack(t, lsn0+1)
+	r.expectResp(t, first, wire.OpOK)
+	inDoubt := map[int64]bool{}
+	for i, req := range parked {
+		f := r.next(t)
+		if f.ReqID != req || f.Op != wire.OpErr {
+			t.Fatalf("parked EXEC %d answered %s for req %d, want an error for req %d", i, wire.OpName(f.Op), f.ReqID, req)
+		}
+		if strings.Contains(wire.DecodeErr(f.Payload), "in doubt") {
+			inDoubt[int64(10+i)] = true
+		}
+	}
+	if len(inDoubt) == 0 {
+		t.Fatal("no parked EXEC was answered in doubt")
+	}
+	f := r.roundTrip(t, wire.OpExec, wire.AppendValues(nil, value.Str("A!SetVal(99)")))
+	if f.Op != wire.OpErr || !strings.Contains(wire.DecodeErr(f.Payload), "aborted") {
+		t.Fatalf("EXEC after the failed flush answered %s %q, want a clean abort", wire.OpName(f.Op), wire.DecodeErr(f.Payload))
+	}
+
+	crashed := vfs.NewMem()
+	crashed.Install(fs.CrashState(fs.Ops(), vfs.CrashSynced))
+	db, err := core.Open(core.Options{Dir: "db", VFS: crashed, Output: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseAbrupt()
+	id, _ := db.Lookup("A")
+	snap := db.BeginSnapshot()
+	v, err := db.Get(snap, id, "val")
+	db.Abort(snap)
+	if got, _ := v.AsInt(); err != nil || (got != 1 && !inDoubt[got]) {
+		t.Fatalf("after the power cut val = %v (%v), want the acknowledged 1 or an in-doubt value", v, err)
 	}
 }
 

@@ -9,18 +9,20 @@
 //	             order is exactly TCP arrival order and no two requests of
 //	             a session ever execute concurrently), enqueues the
 //	             response — or, for an EXEC/EVAL whose commit must wait
-//	             for a replication quorum, parks the commit's tail
-//	             (core.Pending) and reads the next request
+//	             for its WAL flush (and a replication quorum), parks the
+//	             commit's tail (core.Pending) and reads the next request,
+//	             whose batch may then share the parked one's fsync
 //	writer    ── drains the bounded out-queue into the socket, coalescing
 //	             whatever is pending into one flush
-//	completer ── exists only while tails are parked: finishes them strictly
-//	             in request order, so each commit's pushes enqueue before
-//	             its response and responses leave in request order (a
-//	             request arriving behind parked tails is answered through
-//	             the same queue)
+//	completer ── exists only while tails are parked: finishes them —
+//	             durability, quorum, pushes — strictly in request order,
+//	             so each commit's pushes enqueue before its response and
+//	             responses leave in request order (a request arriving
+//	             behind parked tails is answered through the same queue)
 //
-// SUBSCRIBE, UNSUBSCRIBE, HELLO and the REPL* opcodes are barriers: they
-// wait until every parked tail finished, so a subscription never hears an
+// GET, INSTANCES, LOOKUP, SUBSCRIBE, UNSUBSCRIBE, HELLO and the REPL*
+// opcodes are barriers: they wait until every parked tail finished, so a
+// read sees the session's own writes and a subscription never hears an
 // event committed before it. At most QueueLen tails park; then the reader
 // waits.
 //
@@ -36,7 +38,7 @@
 // rule — has no transactional claim on the commit.
 //
 // Reads (OpGet, OpInstances) ride MVCC snapshots (Database.BeginSnapshot):
-// they take no locks and never contend with committers.
+// they take no locks and never contend with other sessions' committers.
 package server
 
 import (
@@ -399,11 +401,13 @@ func (s *session) readLoop() {
 }
 
 // isBarrier reports the opcodes that first wait out every parked tail: a
-// subscription must not hear an event committed before it, and the
-// handshake and replication opcodes change what the session is.
+// snapshot read must see the session's own commits, which become visible
+// only once durable; a subscription must not hear an event committed before
+// it; and the handshake and replication opcodes change what the session is.
 func isBarrier(op byte) bool {
 	switch op {
-	case wire.OpSubscribe, wire.OpUnsubscribe, wire.OpHello,
+	case wire.OpGet, wire.OpInstances, wire.OpLookup,
+		wire.OpSubscribe, wire.OpUnsubscribe, wire.OpHello,
 		wire.OpReplHello, wire.OpReplAck, wire.OpReplPromote, wire.OpReplFence:
 		return true
 	}
@@ -411,15 +415,20 @@ func isBarrier(op byte) bool {
 }
 
 // respond sends a request's response — after finishing its commit's tail p —
-// in request order. With nothing parked and no quorum to wait for, both
+// in request order. With nothing parked and a tail that does not block, both
 // happen here; otherwise the request parks behind the tails already
 // outstanding (the reader blocks while QueueLen of them are) and the
-// completer answers it. False means the session died.
+// completer answers it. A tail queued behind a busy completer starts its
+// flush at once (Park), so it overlaps the earlier tails' waits. False means
+// the session died.
 func (s *session) respond(p core.Pending, resp wire.Frame) bool {
 	s.tailMu.Lock()
-	if len(s.tails) == 0 && !p.AwaitsQuorum() {
+	if len(s.tails) == 0 && !p.Blocks() {
 		s.tailMu.Unlock()
 		return s.enqueue(s.finish(p, resp))
+	}
+	if len(s.tails) > 0 {
+		p.Park()
 	}
 	for len(s.tails) >= s.srv.opts.QueueLen {
 		s.tailCond.Wait()
