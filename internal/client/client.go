@@ -544,17 +544,25 @@ func (c *Client) Unsubscribe(ctx context.Context, subID uint64) error {
 
 // ---- replication calls (used by internal/repl's follower) ----
 
-// ReplHello asks the primary to start shipping from startLSN+1. epoch is
-// the primary epoch the follower stored with its data (0 = none). The
-// primary answers with its own epoch, its shipped LSN, and whether the
-// follower must install a fresh base state first (epoch mismatch, or
-// startLSN outside what the primary can serve incrementally).
+// ReplHello asks the primary to start shipping from startLSN+1 to a
+// follower that logged nothing past it (see ReplResume).
 func (c *Client) ReplHello(ctx context.Context, startLSN, epoch uint64) (primaryEpoch, shippedLSN uint64, needBase bool, err error) {
+	return c.ReplResume(ctx, startLSN, startLSN, epoch)
+}
+
+// ReplResume asks the primary to resume shipping to a follower that applied
+// appliedLSN and holds loggedLSN in its log. epoch is the primary epoch the
+// follower stored with its data (0 = none). The primary answers with its own
+// epoch, its shipped LSN, and whether the follower must install a fresh base
+// state first (unshared history — a logged tail the new epoch reuses the
+// LSNs of included — or a position outside what the primary can serve
+// incrementally).
+func (c *Client) ReplResume(ctx context.Context, appliedLSN, loggedLSN, epoch uint64) (primaryEpoch, shippedLSN uint64, needBase bool, err error) {
 	c.mu.Lock()
 	c.replStream = true
 	c.mu.Unlock()
 	f, err := c.start(ctx, wire.OpReplHello,
-		wire.AppendValues(nil, value.Int(int64(startLSN)), value.Int(int64(epoch)))).wait(ctx)
+		wire.AppendValues(nil, value.Int(int64(appliedLSN)), value.Int(int64(epoch)), value.Int(int64(loggedLSN)))).wait(ctx)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -571,13 +579,13 @@ func (c *Client) ReplHello(ctx context.Context, startLSN, epoch uint64) (primary
 	return uint64(pe), uint64(sl), nb != 0, nil
 }
 
-// ReplAck reports the follower's applied LSN (and the epoch it applied
+// ReplAck reports the follower's logged LSN (and the epoch it logged
 // under) for the primary's lag accounting and quorum commit. A follower
 // still on an older epoch acks with that epoch; the primary counts only
 // current-epoch acks toward a quorum.
-func (c *Client) ReplAck(ctx context.Context, appliedLSN, epoch uint64) error {
+func (c *Client) ReplAck(ctx context.Context, loggedLSN, epoch uint64) error {
 	f, err := c.start(ctx, wire.OpReplAck,
-		wire.AppendValues(nil, value.Int(int64(appliedLSN)), value.Int(int64(epoch)))).wait(ctx)
+		wire.AppendValues(nil, value.Int(int64(loggedLSN)), value.Int(int64(epoch)))).wait(ctx)
 	if err != nil {
 		return err
 	}

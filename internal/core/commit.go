@@ -57,9 +57,9 @@ type commitState struct {
 // OIDs, the records (commit record last), the class name of each record
 // before it, and one flat buffer every object image of the batch is encoded
 // into, so record framing stops allocating per record. It is also the WAL
-// payload the flush leader applies and ships (flushed): occs are the
-// occurrences the batch carries to followers, replLSN the replication LSN
-// the leader numbered it with. lsn is the commit's MVCC LSN and unsettled
+// payload the flush leader applies (flushed): occs are the occurrences the
+// batch carries to followers, replLSN the replication LSN enqueueCommit
+// numbered it with. lsn is the commit's MVCC LSN and unsettled
 // counts the two parties that must both be done before it ends: the
 // committer's install and the leader's apply. Commits run concurrently,
 // hence a sync.Pool rather than a Database field.
@@ -224,15 +224,16 @@ func (db *Database) drainDeferred(t *Tx) error {
 
 // logCommit is the decision point: it allocates the MVCC commit LSN, encodes
 // the persistent part of the write set and enqueues it in the WAL's group
-// commit, which gives the batch its place in the log without waiting for the
-// flush. An error — a fenced primary, a heap already behind its log, a
-// fail-stopped log — leaves nothing in the WAL and the caller aborts; nil
-// means the batch is queued. A commit that logs nothing notes the last batch
-// queued before it instead: it may have read that batch's images.
+// commit (enqueueCommit), which gives the batch its place in the log and its
+// replication LSN and ships it, without waiting for the flush. An error — a
+// fenced primary, a heap already behind its log, a fail-stopped log — leaves
+// nothing in the WAL and the caller aborts; nil means the batch is queued. A
+// commit that logs nothing notes the last batch queued before it instead: it
+// may have read that batch's images.
 //
-//	holds:     2PL locks, pins; ckptMu shared around the Enqueue only
-//	blocks on: ckptMu (a running checkpoint or base-state capture)
-//	publishes: the batch's place in the log
+//	holds:     2PL locks, pins; ckptMu shared and replMu around the Enqueue and Ship only
+//	blocks on: ckptMu (a running checkpoint or base-state capture); replMu (another committer's Ship)
+//	publishes: the batch's place in the log; the replication LSN; the batch, to the replicator
 func (db *Database) logCommit(t *Tx, c *commitState) error {
 	if len(t.dirty) == 0 && len(t.created) == 0 && len(t.deleted) == 0 {
 		// Read-only: nothing to log or install. A snapshot transaction read
@@ -275,16 +276,44 @@ func (db *Database) logCommit(t *Tx, c *commitState) error {
 	sc.occs, t.replOccs = t.replOccs, nil
 	sc.lsn = c.lsn
 	sc.unsettled.Store(2)
-	db.ckptMu.RLock()
-	ticket, err := db.log.Enqueue(sc.recs, db.opts.SyncOnCommit, sc)
-	db.ckptMu.RUnlock()
+	ticket, err := db.enqueueCommit(sc)
 	if err != nil {
 		db.lsn.end(c.lsn) // abandoned: nothing installs at this LSN
 		sc.release()
 		return err
 	}
-	c.batch, c.ticket = sc, ticket
+	c.batch, c.ticket, c.replLSN = sc, ticket, sc.replLSN
 	return nil
+}
+
+// enqueueCommit numbers the batch with the next replication LSN, enqueues it
+// and hands it to the replicator, together with the occurrences its
+// transaction raised — all under ckptMu shared and replMu, so
+// replication-LSN order is log order (a commit that read another's write is
+// behind it in the log, and follower acks are monotone, so one ack at the
+// highest satisfies every quorum waiter below it) and Checkpoint and
+// ReplBaseState, which hold ckptMu exclusive and flush every queued batch,
+// record a heap holding exactly the batches numbered 1..replLSN. The LSN
+// advances whether or not anything is attached: it counts the database's
+// committed batches, and a follower attaching later needs the count dense.
+// The batch ships before it is durable: a follower logs it while the primary
+// flushes, and exposes it only once the durable mark covers it (flushed).
+// Ship only encodes and buffers (see Replicator).
+func (db *Database) enqueueCommit(sc *commitScratch) (wal.Ticket, error) {
+	db.ckptMu.RLock()
+	defer db.ckptMu.RUnlock()
+	db.replMu.Lock()
+	defer db.replMu.Unlock()
+	sc.replLSN = db.replLSN + 1
+	ticket, err := db.log.Enqueue(sc.recs, db.opts.SyncOnCommit, sc)
+	if err != nil {
+		return 0, err
+	}
+	db.replLSN = sc.replLSN
+	if ship := db.repl.Load().Ship; ship != nil {
+		ship(ReplBatch{LSN: sc.replLSN, Recs: sc.recs, Occs: sc.occs})
+	}
+	return ticket, nil
 }
 
 // encodeWriteSet builds the WAL batch for the transaction's persistent write set:
@@ -344,7 +373,7 @@ func encodeWriteSet(db *Database, t *Tx) *commitScratch {
 
 // release returns the encode buffers to the pool. The WAL append, the heap
 // apply and the ship hook all copy, so nothing retains the record Data past
-// shipCommit; the pointers are zeroed so the pool pins no images. The
+// awaitDurable; the pointers are zeroed so the pool pins no images. The
 // occurrence slice went to the replicator, which may keep it.
 func (sc *commitScratch) release() {
 	for i := range sc.recs {
@@ -402,8 +431,8 @@ func (db *Database) releaseCommit(t *Tx) {
 // in the log is flushed: its own batch, or — for a commit that logged nothing —
 // every batch queued before it released its locks, since it may have read
 // their images (Aether's flush-pipelining rule; free while the log is
-// idle). By then the flush leader has applied and shipped the batch
-// (flushed). A failed flush cannot roll back a transaction whose locks are
+// idle). By then the flush leader has applied the batch and announced it
+// durable (flushed). A failed flush cannot roll back a transaction whose locks are
 // gone, so the commit is reported in doubt; its LSN never ends, and the log
 // stays fail-stopped until a reopen's recovery decides.
 //
@@ -421,7 +450,6 @@ func (db *Database) awaitDurable(c *commitState) error {
 		}
 		return nil
 	}
-	c.replLSN = c.batch.replLSN
 	c.batch.release()
 	c.batch = nil
 	switch {
@@ -436,22 +464,27 @@ func (db *Database) awaitDurable(c *commitState) error {
 // flushed is the WAL's flush hook: the leader of each successful group flush
 // runs it with the group's batches in log order, before any member's
 // awaitDurable returns. Applying there keeps the WAL rule — the heap holds
-// only durable images — and shipping there keeps replication-LSN order equal
-// to log order, even between dependent commits that share a group. Each
-// batch's LSN ends here when its committer installed already.
+// only durable images. Then the group's highest replication LSN becomes the
+// durable mark (Replicator.Durable): groups flush one at a time in log
+// order, so every batch at or below it is durable. Each batch's LSN ends
+// here when its committer installed already.
 //
 //	holds:     nothing of its own; a checkpoint may hold ckptMu exclusive, awaiting this flush
-//	blocks on: applyCommit's page I/O, replMu
-//	publishes: see applyCommit and shipCommit; the stable LSN
+//	blocks on: applyCommit's page I/O
+//	publishes: see applyCommit; the stable LSN; the durable mark, to the replicator
 func (db *Database) flushed(payloads []any) {
+	var mark uint64
 	for _, p := range payloads {
 		if sc, ok := p.(*commitScratch); ok {
 			db.applyCommit(sc)
-			db.shipCommit(sc)
+			mark = sc.replLSN
 			if sc.settle() {
 				db.lsn.end(sc.lsn)
 			}
 		}
+	}
+	if durable := db.repl.Load().Durable; durable != nil && mark != 0 {
+		durable(mark)
 	}
 }
 
@@ -484,32 +517,9 @@ func (db *Database) applyCommit(sc *commitScratch) {
 	}
 }
 
-// shipCommit numbers a durable batch with the next replication LSN and hands
-// it to the replicator, together with the occurrences its transaction
-// raised. The LSN advances whether or not anything is attached: it counts
-// the database's committed batches, and a follower attaching later needs the
-// count dense. Every coalesced transaction gets its own LSN, in log order —
-// a commit that read another's write is behind it in the log — and follower
-// acks are monotone, so one ack at the highest satisfies every quorum waiter
-// below it. Ship only encodes and buffers (see Replicator). Checkpoint and
-// ReplBaseState flush every queued batch under ckptMu exclusive, so the heap
-// they record holds exactly the batches numbered 1..replLSN.
-//
-//	holds:     replMu (run by flushed)
-//	blocks on: replMu only — another leader's encode-and-buffer
-//	publishes: the replication LSN; the batch, to the replicator's ring
-func (db *Database) shipCommit(sc *commitScratch) {
-	db.replMu.Lock()
-	db.replLSN++
-	sc.replLSN = db.replLSN
-	if ship := db.repl.Load().Ship; ship != nil {
-		ship(ReplBatch{LSN: sc.replLSN, Recs: sc.recs, Occs: sc.occs})
-	}
-	db.replMu.Unlock()
-}
-
-// awaitQuorum blocks until Options.SyncReplicas followers durably acked the
-// commit's batch. A timeout degrades the commit to asynchronous (counted,
+// awaitQuorum blocks until Options.SyncReplicas followers durably logged and
+// acked the commit's batch. The batch shipped at enqueue, so the wait
+// overlaps the primary's own flush. A timeout degrades the commit to asynchronous (counted,
 // not failed). ErrFenced means a follower was promoted while we waited: the
 // commit is durable here but will never be acknowledged.
 //

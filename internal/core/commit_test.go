@@ -59,11 +59,13 @@ func quorumDB(t *testing.T, async bool) (*Database, oid.OID) {
 
 // TestCommitStageOrder drives one commit through a recording Replicator, a
 // recording sink and a detached rule, with a second transaction queued on
-// the committing transaction's 2PL lock. Ship must run before that
-// transaction can finish (it read the commit's write, so its read-only
-// commit waits for the flush that ships it); WaitQuorum must run with the
-// lock released (it waits for the blocked transaction to finish, which it
-// only can once the lock is gone); and the observable order must be ship <
+// the committing transaction's 2PL lock. Ship runs in the head, before that
+// transaction can run (it is blocked on the lock until the commit's
+// enqueue); the durable mark must come before that transaction can finish
+// (it read the commit's write, so its read-only commit waits for the flush
+// that announces the mark); WaitQuorum must run with the lock released (it
+// waits for the blocked transaction to finish, which it only can once the
+// lock is gone); and the observable order must be ship < durable <
 // quorum-wait < push < detached effect.
 func TestCommitStageOrder(t *testing.T) {
 	for _, tc := range []struct {
@@ -109,6 +111,14 @@ func TestCommitStageOrder(t *testing.T) {
 						log.add("ship")
 					}
 				},
+				Durable: func(uint64) {
+					select {
+					case <-readerDone:
+						log.add("durable: conflicting transaction already finished")
+					default:
+						log.add("durable")
+					}
+				},
 				WaitQuorum: func(uint64, int, time.Duration) error {
 					select {
 					case <-readerDone:
@@ -143,7 +153,7 @@ func TestCommitStageOrder(t *testing.T) {
 			}
 			db.WaitIdle()
 
-			want := []string{"ship", "quorum-wait", "push", "detached effect"}
+			want := []string{"ship", "durable", "quorum-wait", "push", "detached effect"}
 			got := log.snapshot()
 			if len(got) != len(want) {
 				t.Fatalf("observed %q, want %q", got, want)
@@ -190,14 +200,15 @@ func TestFencedQuorumWaitStillReclaims(t *testing.T) {
 
 // TestHeapFailureBehindCommitRecord fails, in turn, every filesystem
 // operation a commit issues. Whatever the operation, Commit's answer must be
-// what a reopen then shows. Where the failure hits the WAL write the commit
-// had already released its locks, so it is in doubt: nothing was applied or
-// shipped, the next write is a clean abort (the log fail-stopped), and the
-// reopen may go either way as long as x and the replication LSN agree.
-// Where it hits the heap apply — which the flush leader runs behind the
-// durable commit record — the commit stands: memory keeps it, the
-// replicator got it, later writes and checkpoints are refused with
-// ErrHeapBehind, and recovery replays it at the same replication LSN.
+// what a reopen then shows. Either way the batch was numbered and shipped at
+// its enqueue, before the flush. Where the failure hits the WAL write the
+// commit had already released its locks, so it is in doubt: nothing was
+// applied and no durable mark covers it, the next write is a clean abort
+// (the log fail-stopped), and the reopen may go either way as long as x and
+// the replication LSN agree. Where it hits the heap apply — which the flush
+// leader runs behind the durable commit record — the commit stands: memory
+// keeps it, the mark covers it, later writes and checkpoints are refused
+// with ErrHeapBehind, and recovery replays it at the same replication LSN.
 func TestHeapFailureBehindCommitRecord(t *testing.T) {
 	const extra = 400 // creates that outgrow the page and force a heap-file write
 	opts := func(fs vfs.FS) Options { return Options{Dir: "db", VFS: fs, Output: io.Discard} }
@@ -210,8 +221,11 @@ func TestHeapFailureBehindCommitRecord(t *testing.T) {
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		var shipped []uint64
-		db.SetReplicator(Replicator{Ship: func(b ReplBatch) { shipped = append(shipped, b.LSN) }})
+		var shipped, marks []uint64
+		db.SetReplicator(Replicator{
+			Ship:    func(b ReplBatch) { shipped = append(shipped, b.LSN) },
+			Durable: func(lsn uint64) { marks = append(marks, lsn) },
+		})
 		lsn0 := db.ReplLSN()
 
 		fs.FailNthOp(fs.Ops()+k, vfs.FaultEIO)
@@ -240,11 +254,14 @@ func TestHeapFailureBehindCommitRecord(t *testing.T) {
 				t.Fatalf("op %d: Commit = %v but x = %v in memory", k, commitErr, got)
 			}
 		}
-		if got := db.ReplLSN(); got != wantLSN {
-			t.Fatalf("op %d: Commit = %v but ReplLSN = %d, want %d", k, commitErr, got, wantLSN)
+		if got := db.ReplLSN(); got != lsn0+1 {
+			t.Fatalf("op %d: Commit = %v but ReplLSN = %d, want %d (numbered at enqueue)", k, commitErr, got, lsn0+1)
 		}
-		if (len(shipped) == 1) != (commitErr == nil) {
-			t.Fatalf("op %d: Commit = %v but shipped batches = %v", k, commitErr, shipped)
+		if len(shipped) != 1 || shipped[0] != lsn0+1 {
+			t.Fatalf("op %d: Commit = %v but shipped batches = %v, want [%d]", k, commitErr, shipped, lsn0+1)
+		}
+		if (len(marks) == 1 && marks[0] == lsn0+1) != (commitErr == nil) || len(marks) > 1 {
+			t.Fatalf("op %d: Commit = %v but durable marks = %v", k, commitErr, marks)
 		}
 		if doubt {
 			inDoubt++
@@ -589,9 +606,10 @@ func TestSynchronousCommitAllocs(t *testing.T) {
 }
 
 // TestPendingLeavesTailToFinish: ExecPending returns with the transaction
-// over — its batch queued, its lock free for the next transaction — but the
-// durability wait (whose flush ships the batch), the quorum wait, the push
-// and the detached firing wait for Finish, which runs them in stage order.
+// over — its batch queued and shipped, its lock free for the next
+// transaction — but the durability wait (whose flush announces the durable
+// mark), the quorum wait, the push and the detached firing wait for Finish,
+// which runs them in stage order.
 // Snapshots see the write only once Finish made it durable.
 func TestPendingLeavesTailToFinish(t *testing.T) {
 	db, id := quorumDB(t, false)
@@ -618,9 +636,10 @@ func TestPendingLeavesTailToFinish(t *testing.T) {
 	db.SetReplicator(Replicator{
 		Ship: func(b ReplBatch) {
 			if b.LSN != 0 {
-				log.add("durable")
+				log.add("ship")
 			}
 		},
+		Durable: func(uint64) { log.add("durable") },
 		WaitQuorum: func(uint64, int, time.Duration) error {
 			log.add("quorum-wait")
 			return nil
@@ -644,13 +663,13 @@ func TestPendingLeavesTailToFinish(t *testing.T) {
 	if got := readSnapshotX(t, db, id); got != 0 {
 		t.Fatalf("after the head a snapshot reads x = %v, want 0 (not durable yet)", got)
 	}
-	if got := log.snapshot(); len(got) != 0 {
-		t.Fatalf("the head ran tail stages: %q", got)
+	if got := log.snapshot(); strings.Join(got, ",") != "ship" {
+		t.Fatalf("the head ran %q, want only the ship", got)
 	}
 	if err := p.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"durable", "quorum-wait", "push", "detached effect"}
+	want := []string{"ship", "durable", "quorum-wait", "push", "detached effect"}
 	if got := log.snapshot(); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("Finish ran %q, want %q", got, want)
 	}
@@ -686,7 +705,7 @@ func TestCheckpointAwaitsQueuedBatch(t *testing.T) {
 	lsn0 := db.ReplLSN()
 
 	p := set(42)
-	if db.ReplLSN() != lsn0 {
+	if got := readSnapshotX(t, db, id); got == 42 {
 		t.Fatal("the head flushed its own batch")
 	}
 	if err := db.Checkpoint(); err != nil {

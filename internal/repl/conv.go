@@ -11,7 +11,7 @@ import (
 // copies record Data out of the pooled commit scratch, so the conversion
 // itself may alias freely.
 func BatchToWire(b core.ReplBatch) wire.ReplBatch {
-	w := wire.ReplBatch{LSN: b.LSN}
+	w := wire.ReplBatch{Mark: b.Mark, LSN: b.LSN}
 	if len(b.Recs) > 0 {
 		w.Recs = make([]wire.ReplRec, len(b.Recs))
 		for i, r := range b.Recs {
@@ -40,7 +40,7 @@ func BatchToWire(b core.ReplBatch) wire.ReplBatch {
 // transaction id carried in the records; coupling modes never run on a
 // replica (rules fire on the primary only), so it is informational.
 func BatchFromWire(w wire.ReplBatch) core.ReplBatch {
-	b := core.ReplBatch{LSN: w.LSN}
+	b := core.ReplBatch{LSN: w.LSN, Mark: w.Mark}
 	if len(w.Recs) > 0 {
 		b.Recs = make([]wal.Record, len(w.Recs))
 		for i, r := range w.Recs {

@@ -124,7 +124,7 @@ func TestWedgedFollowerNeverStallsCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	payload := wire.AppendValues(nil, value.Int(0), value.Int(0))
+	payload := wire.AppendValues(nil, value.Int(0), value.Int(0), value.Int(0))
 	if _, err := wire.WriteFrame(conn, nil, wire.Frame{Op: wire.OpReplHello, ReqID: 1, Payload: payload}); err != nil {
 		t.Fatal(err)
 	}

@@ -684,19 +684,23 @@ func (s *session) handle(f wire.Frame, tail *core.Pending) wire.Frame {
 		if p == nil {
 			return s.errFrame(f.ReqID, errors.New("server is not a replication primary"))
 		}
-		vals, err := wire.DecodeValues(f.Payload, 2)
+		vals, err := wire.DecodeValues(f.Payload, 3)
 		if err != nil {
 			return s.errFrame(f.ReqID, err)
 		}
-		startLSN, ok := vals[0].AsInt()
-		if !ok || startLSN < 0 {
-			return s.errFrame(f.ReqID, errors.New("REPLHELLO start LSN out of range"))
+		applied, ok := vals[0].AsInt()
+		if !ok || applied < 0 {
+			return s.errFrame(f.ReqID, errors.New("REPLHELLO applied LSN out of range"))
 		}
 		epoch, ok := vals[1].AsInt()
 		if !ok {
 			return s.errFrame(f.ReqID, errors.New("REPLHELLO epoch is not an int"))
 		}
-		primaryEpoch, shipped, needBase, err := p.AddFollower(s, uint64(startLSN), uint64(epoch))
+		logged, ok := vals[2].AsInt()
+		if !ok || logged < applied {
+			return s.errFrame(f.ReqID, errors.New("REPLHELLO logged LSN out of range"))
+		}
+		primaryEpoch, shipped, needBase, err := p.AddFollower(s, uint64(applied), uint64(logged), uint64(epoch))
 		if err != nil {
 			return s.errFrame(f.ReqID, err)
 		}

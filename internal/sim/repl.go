@@ -151,12 +151,34 @@ func copyReplBatch(b core.ReplBatch) core.ReplBatch {
 	return cp
 }
 
-// captureBatches installs a deep-copying Ship-only Replicator on db.
+// captureBatches installs a deep-copying Replicator on db that records the
+// stream a follower could receive: every shipped batch, stamped with the
+// durable mark as of its ship, and every later mark — carried by the last
+// batch when it covers it (the frame a shipper sends after the flush),
+// else appended as a bare mark.
 func captureBatches(db *core.Database) *[]core.ReplBatch {
+	var mu sync.Mutex
 	var got []core.ReplBatch
-	db.SetReplicator(core.Replicator{Ship: func(b core.ReplBatch) {
-		got = append(got, copyReplBatch(b))
-	}})
+	var mark uint64
+	db.SetReplicator(core.Replicator{
+		Ship: func(b core.ReplBatch) {
+			mu.Lock()
+			defer mu.Unlock()
+			cp := copyReplBatch(b)
+			cp.Mark = mark
+			got = append(got, cp)
+		},
+		Durable: func(lsn uint64) {
+			mu.Lock()
+			defer mu.Unlock()
+			mark = lsn
+			if n := len(got); n > 0 && got[n-1].LSN != 0 && got[n-1].LSN <= lsn {
+				got[n-1].Mark = lsn
+				return
+			}
+			got = append(got, core.ReplBatch{Mark: lsn})
+		},
+	})
 	return &got
 }
 

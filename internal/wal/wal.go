@@ -43,6 +43,7 @@ const (
 	RecCommit                           // transaction commit marker
 	RecAbort                            // transaction abort marker (informational)
 	RecCheckpoint                       // all prior committed effects are in the heap
+	RecMark                             // a replica's durable mark: Tx is the primary's durable replication LSN
 )
 
 // Record is one log entry.
@@ -228,9 +229,11 @@ func (l *Log) Sync() error {
 	return l.fsync()
 }
 
-// Truncate atomically replaces the log with one containing only a
-// checkpoint record. Called after the heap has been flushed and synced.
-func (l *Log) Truncate() error {
+// Truncate atomically replaces the log with one containing a checkpoint
+// record followed by keep: what the heap does not hold yet but must survive
+// (a replica's logged batches still waiting for the primary's durable mark).
+// Called after the heap has been flushed and synced.
+func (l *Log) Truncate(keep ...Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	tmp := l.path + ".tmp"
@@ -242,6 +245,12 @@ func (l *Log) Truncate() error {
 	if err := nl.appendLocked(Record{Type: RecCheckpoint}); err != nil {
 		nf.Close()
 		return err
+	}
+	if len(keep) > 0 {
+		if err := nl.writeFramesLocked(func(buf []byte) []byte { return frameRecords(buf, keep) }); err != nil {
+			nf.Close()
+			return err
+		}
 	}
 	if err := nf.Sync(); err != nil {
 		nf.Close()

@@ -62,6 +62,36 @@ func TestReplBatchRoundTripEmpty(t *testing.T) {
 	}
 }
 
+// TestReplBatchMark: the mark round-trips on a data batch; a primary's
+// per-send stamp (AppendReplMark, then the retained AppendReplBody) is the
+// same payload AppendReplBatch builds; and a bare mark frame decodes as a
+// batch with the mark and nothing else.
+func TestReplBatchMark(t *testing.T) {
+	in := sampleBatch()
+	in.Mark = 41
+	payload := AppendReplBatch(nil, in)
+	if stamped := AppendReplBody(AppendReplMark(nil, 41), in); !bytes.Equal(stamped, payload) {
+		t.Fatalf("stamped body %x differs from the batch payload %x", stamped, payload)
+	}
+	out, err := DecodeReplBatch(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Mark != 41 || out.LSN != 42 || len(out.Recs) != 3 || len(out.Occs) != 2 {
+		t.Fatalf("marked batch round trip: %+v", out)
+	}
+	bare, err := DecodeReplBatch(AppendReplBatch(nil, ReplBatch{Mark: 1 << 40}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.Mark != 1<<40 || bare.LSN != 0 || bare.Recs != nil || bare.Occs != nil {
+		t.Fatalf("bare mark round trip: %+v", bare)
+	}
+	if _, err := DecodeReplBatch(AppendReplMark(nil, 7)); err == nil {
+		t.Fatal("a mark with no body accepted")
+	}
+}
+
 func TestReplSnapRoundTrip(t *testing.T) {
 	in := []ReplSnapObj{
 		{ID: 1, Img: []byte("a")},
@@ -100,8 +130,9 @@ func TestReplSnapEndRoundTrip(t *testing.T) {
 // TestReplDecodeBounds: hostile counts must reject before any allocation
 // is sized from them (the package's decodeCount discipline).
 func TestReplDecodeBounds(t *testing.T) {
-	// A batch claiming 1<<40 records with a 3-byte payload.
-	hostile := value.AppendValue(nil, value.Int(1)) // LSN
+	// A batch claiming 1<<40 records with a 4-byte payload.
+	hostile := AppendReplMark(nil, 1)
+	hostile = value.AppendValue(hostile, value.Int(1)) // LSN
 	hostile = value.AppendValue(hostile, value.Int(1<<40))
 	if _, err := DecodeReplBatch(hostile); err == nil {
 		t.Fatal("hostile record count accepted")
@@ -122,6 +153,10 @@ func FuzzDecodeReplBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendReplBatch(nil, ReplBatch{LSN: 1}))
 	f.Add(AppendReplBatch(nil, sampleBatch()))
+	marked := sampleBatch()
+	marked.Mark = 41
+	f.Add(AppendReplBatch(nil, marked))
+	f.Add(AppendReplBatch(nil, ReplBatch{Mark: 9})) // bare mark
 	f.Add(AppendReplSnap(nil, []ReplSnapObj{{ID: 5, Img: []byte("img")}}))
 	f.Add(AppendReplSnapEnd(nil, 9))
 	f.Add(value.AppendValue(AppendReplSnapEnd(nil, 9), value.Str("m"))) // v3 shape

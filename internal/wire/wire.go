@@ -42,10 +42,12 @@ import (
 // OpReplFrames/OpReplSnap pushes); 3 adds failover — OpReplAck gains a
 // trailing epoch, and OpReplPromote/OpReplFence carry the promotion and
 // fencing admin ops; 4 cuts OpReplSnapEnd to the base LSN alone (the meta
-// blob it also carried was never read). A client with a version the server
+// blob it also carried was never read); 5 adds the durable mark — every
+// OpReplFrames payload opens with the primary's durable replication LSN, and
+// OpReplHello gains the follower's logged LSN. A client with a version the server
 // does not speak gets a clean version-mismatch OpErr instead of an
 // unknown-opcode failure mid-session.
-const ProtocolVersion = 4
+const ProtocolVersion = 5
 
 // MaxFrameLen caps the length field (opcode + reqid + payload): 8 MiB.
 // Large enough for any script or result the shell produces, small enough
@@ -70,8 +72,8 @@ const (
 	OpInstances   byte = 7  // [str class]               → OpResult (list of refs; snapshot read)
 	OpSubscribe   byte = 8  // [ref oid, str event, int moment] → OpSubOK | OpErr
 	OpUnsubscribe byte = 9  // [int subID]               → OpOK | OpErr
-	OpReplHello   byte = 10 // [int startLSN, int epoch]  → OpReplWelcome | OpErr
-	OpReplAck     byte = 11 // [int appliedLSN, int epoch] → OpOK | OpErr
+	OpReplHello   byte = 10 // [int appliedLSN, int epoch, int loggedLSN] → OpReplWelcome | OpErr
+	OpReplAck     byte = 11 // [int loggedLSN, int epoch] → OpOK | OpErr
 	OpReplPromote byte = 12 // []                        → OpOK | OpErr (admin: promote this follower)
 	OpReplFence   byte = 13 // [int newEpoch]            → OpOK | OpErr (admin: fence if newEpoch is newer)
 
