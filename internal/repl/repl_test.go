@@ -360,3 +360,57 @@ func TestMultipleFollowers(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestPromoteAfterFollowerRestartKeepsAckedCommit: a quorum-acked commit —
+// the follower acks once it logged the batch, maybe before the durable mark
+// let it expose the batch — survives a follower restart and then the loss
+// of the primary: the promoted follower holds it.
+func TestPromoteAfterFollowerRestartKeepsAckedCommit(t *testing.T) {
+	db, err := core.Open(core.Options{Dir: t.TempDir(), Output: io.Discard, SyncOnCommit: true,
+		SyncReplicas: 1, QuorumTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pri := repl.NewPrimary(db, repl.PrimaryOptions{})
+	srv, err := server.New(db, server.Options{Addr: "127.0.0.1:0", Primary: pri})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &primaryNode{db: db, pri: pri, srv: srv}
+	fdir := t.TempDir()
+	fn := startFollower(t, fdir, p.srv.Addr())
+	for pri.Followers() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := p.db.Exec(replSchema); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.db.Exec("A!SetVal(77)"); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.db.Stats().Replication.QuorumDegraded; n != 0 {
+		t.Fatalf("%d commits degraded: the follower did not ack", n)
+	}
+	fn.close()
+	p.close()
+
+	f, err := repl.StartFollower(repl.FollowerOptions{
+		PrimaryAddr: p.srv.Addr(),
+		Core:        core.Options{Dir: fdir, Output: io.Discard},
+		MaxBackoff:  100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	promoted, pri2, err := f.Promote(repl.PrimaryOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		pri2.Close()
+		promoted.Close()
+	}()
+	if v, _ := readVal(t, promoted, "A", "val"); v != "77" {
+		t.Fatalf("promoted A.val = %s, want the quorum-acked 77", v)
+	}
+}
