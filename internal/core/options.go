@@ -62,8 +62,9 @@ type Options struct {
 	// SyncReplicas, when positive, makes every data-bearing commit wait
 	// until this many followers have durably acknowledged the commit's
 	// replication LSN before Commit returns (quorum/semi-sync commit). The
-	// wait runs after local durability with no locks held, so it can never
-	// wedge the commit pipeline; if the quorum does not arrive within
+	// batch ships at its WAL enqueue, so the followers' fsyncs overlap the
+	// primary's; the wait runs after local durability with no locks held, so
+	// it can never wedge the commit pipeline; if the quorum does not arrive within
 	// QuorumTimeout the commit degrades to asynchronous (it still
 	// succeeded locally) and the sentinel_repl_quorum_degraded_total
 	// counter records the miss. 0 (default): commits are asynchronous and
