@@ -136,6 +136,7 @@ func (p Pending) Finish() error {
 	if tr := db.tracer.Load(); tr != nil && tr.TxCommit != nil {
 		tr.TxCommit(obs.TxInfo{Tx: uint64(t.inner.ID()), Duration: d, Err: err})
 	}
+	t.recycle()
 	return err
 }
 
@@ -410,7 +411,7 @@ func (db *Database) installCommit(t *Tx, c *commitState) {
 }
 
 // releaseCommit ends the transaction before its batch is durable (early lock
-// release): 2PL locks, then the directory pins (undo closures can no longer
+// release): 2PL locks, then the directory pins (undo records can no longer
 // run), then the snapshot registration. A waiter that reads the write set
 // enqueues its own batch behind this one, so it can never become durable
 // first. Detectors of tx-scoped rules the transaction fed reset here.

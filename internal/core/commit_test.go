@@ -9,6 +9,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	iofs "io/fs"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"sentinel/internal/event"
 	"sentinel/internal/oid"
 	"sentinel/internal/rule"
+	"sentinel/internal/txn"
 	"sentinel/internal/value"
 	"sentinel/internal/vfs"
 	"sentinel/internal/wal"
@@ -587,9 +589,13 @@ func TestReadOnlyCommitWaitsForReadBatch(t *testing.T) {
 }
 
 // TestSynchronousCommitAllocs pins the allocations of one synchronous
-// Atomically{Set} on an in-memory database at the figure before the commit
-// was cut into head and tail: Commit must stay head + tail inline with no
-// closure or boxed state per commit (raise_mem commits once per op).
+// Atomically{Set} on an in-memory database: the Tx handle, its txn.Tx and
+// the one before-image copy that serves as both undo record and archived
+// version. The write-set maps, agenda, undo list and frames come from the
+// recycled transaction state, lock states and held maps from the lock
+// manager's free lists; Commit stays head + tail inline with no closure or
+// boxed state per commit (raise_mem commits once per op). It was 18 before
+// transactions recycled their state.
 func TestSynchronousCommitAllocs(t *testing.T) {
 	db := MustOpen(Options{Output: io.Discard})
 	defer db.Close()
@@ -600,8 +606,146 @@ func TestSynchronousCommitAllocs(t *testing.T) {
 		}
 	}
 	set()
-	if n := testing.AllocsPerRun(200, set); n != 18 {
-		t.Fatalf("Atomically{Set}: %v allocs/op, want 18", n)
+	if n := testing.AllocsPerRun(200, set); n != 3 {
+		t.Fatalf("Atomically{Set}: %v allocs/op, want 3", n)
+	}
+}
+
+// TestSendFiringAllocs pins one Atomically{Send} whose end event fires one
+// immediate rule with a condition and an action — the shape of a raise_mem
+// operation: the Tx handle, its txn.Tx, the before-image, one for this
+// test's call site (the body closure and Send's argument slice), and the
+// detection the rule's detector returns (its slice and its constituent
+// slice). Raising, scheduling, the firing frame
+// and the commit allocate nothing.
+func TestSendFiringAllocs(t *testing.T) {
+	db := MustOpen(Options{Output: io.Discard})
+	defer db.Close()
+	id := hotPathClass(t, db, 1)[0]
+	fired := 0
+	if err := db.Atomically(func(tx *Tx) error {
+		r, err := db.CreateRule(tx, RuleSpec{
+			Name:     "fire",
+			EventSrc: "end P::Set(float v)",
+			Condition: func(rule.ExecContext, event.Detection) (bool, error) {
+				return true, nil
+			},
+			Action: func(rule.ExecContext, event.Detection) error {
+				fired++
+				return nil
+			},
+		})
+		if err != nil {
+			return err
+		}
+		return db.Subscribe(tx, id, r.ID())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	send := func() {
+		if err := db.Atomically(func(tx *Tx) error {
+			_, err := db.Send(tx, id, "Set", value.Float(1))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	n := testing.AllocsPerRun(200, send)
+	if fired != 202 {
+		t.Fatalf("rule fired %d times over 202 sends", fired)
+	}
+	if n != 6 {
+		t.Fatalf("Atomically{Send} firing one rule: %v allocs/op, want 6", n)
+	}
+}
+
+// TestStaleTxHandles: a Tx handle outlives its transaction — callers and
+// parked Pendings keep it — while its state goes back to the pool. A
+// committed handle, an aborted one and one whose tail was parked and then
+// finished each stay inactive and refuse Send, Set, Get and NewObject with
+// txn.ErrNotActive, also after 1,000 later transactions reused the pooled
+// state; and nothing they were refused leaks into the database.
+func TestStaleTxHandles(t *testing.T) {
+	db := MustOpen(Options{Dir: "db", VFS: vfs.NewMem(), SyncOnCommit: true, Output: io.Discard})
+	defer db.Close()
+	mkPersistentClass(t, db)
+	id := mkPersistentObjects(t, db, 1)[0]
+	set := func(tx *Tx, v float64) error {
+		_, err := db.Send(tx, id, "Set", value.Float(v))
+		return err
+	}
+
+	committed := db.Begin()
+	if err := set(committed, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Commit(committed); err != nil {
+		t.Fatal(err)
+	}
+	aborted := db.Begin()
+	if err := set(aborted, 2); err != nil {
+		t.Fatal(err)
+	}
+	db.Abort(aborted)
+	var parked *Tx
+	p := db.atomicallyPending(func(tx *Tx) error {
+		parked = tx
+		return set(tx, 3)
+	})
+	if !p.Blocks() {
+		t.Fatal("a logged commit does not report that its tail blocks")
+	}
+	p.Park()
+	stale := map[string]*Tx{"committed": committed, "aborted": aborted, "parked": parked}
+	check := func(when string) {
+		t.Helper()
+		for name, tx := range stale {
+			if tx.Active() {
+				t.Fatalf("%s: the %s handle is active", when, name)
+			}
+			if _, err := db.Send(tx, id, "Set", value.Float(-1)); !errors.Is(err, txn.ErrNotActive) {
+				t.Fatalf("%s: Send through the %s handle: %v, want ErrNotActive", when, name, err)
+			}
+			if err := db.Set(tx, id, "x", value.Float(-1)); !errors.Is(err, txn.ErrNotActive) {
+				t.Fatalf("%s: Set through the %s handle: %v, want ErrNotActive", when, name, err)
+			}
+			if _, err := db.Get(tx, id, "x"); !errors.Is(err, txn.ErrNotActive) {
+				t.Fatalf("%s: Get through the %s handle: %v, want ErrNotActive", when, name, err)
+			}
+			if _, err := db.NewObject(tx, "PX", nil); !errors.Is(err, txn.ErrNotActive) {
+				t.Fatalf("%s: NewObject through the %s handle: %v, want ErrNotActive", when, name, err)
+			}
+		}
+	}
+	check("tail parked")
+	if err := p.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	check("tail finished")
+	for i := 0; i < 1000; i++ {
+		tx := db.Begin()
+		if err := set(tx, float64(10+i)); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			db.Abort(tx)
+		} else if err := db.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after 1,000 transactions")
+	if err := db.Atomically(func(tx *Tx) error {
+		v, err := db.Get(tx, id, "x")
+		if err == nil && !v.Equal(value.Float(1009)) {
+			err = fmt.Errorf("x = %v, want 1009", v)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(db.InstancesOf("PX")); n != 1 {
+		t.Fatalf("%d PX instances, want 1", n)
 	}
 }
 

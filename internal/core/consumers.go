@@ -118,7 +118,7 @@ func scopeAll() consumerScope { return consumerScope{kind: scopeKindAll} }
 func (db *Database) invalidateConsumers(t *Tx, sc consumerScope, undo func()) {
 	db.applyConsumerInvalidation(sc)
 	if undo != nil {
-		t.inner.OnUndo(func() {
+		t.onUndo(func() {
 			undo()
 			db.applyConsumerInvalidation(sc)
 		})

@@ -96,6 +96,9 @@ type Database struct {
 	snaps     snapRegistry
 	lastSweep atomic.Uint64
 
+	// txFree is the free list of recycled transaction state (tx.go).
+	txFree chan *txState
+
 	// ckptMu fences checkpoints against commits: a commit holds it shared
 	// around its WAL enqueue (commit.go); Checkpoint holds it exclusively,
 	// awaits every batch already queued, then flushes the heap and truncates
@@ -220,6 +223,7 @@ func Open(opts Options) (*Database, error) {
 		opts:           opts,
 		reg:            schema.NewRegistry(),
 		tm:             txn.NewManager(),
+		txFree:         make(chan *txState, txFreeSize),
 		alloc:          oid.NewAllocator(1),
 		dir:            newObjDirectory(),
 		names:          make(map[string]oid.OID),

@@ -17,7 +17,7 @@ package core
 //     rebuildable disk image or are needed for catalog consistency; they
 //     stay resident for the lifetime of the database.
 //   - tomb: the object was deleted by a transaction that has not committed
-//     yet. The entry stays (the undo closure restores it on abort) but is
+//     yet. The entry stays (its undo record restores it on abort) but is
 //     invisible to lookups, and — crucially — blocks fault-in from
 //     resurrecting the stale heap image.
 //   - ref: the second-chance (clock) reference bit, set on every hit and
@@ -28,6 +28,7 @@ package core
 // acquires mu or ccMu while holding a shard lock.
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -86,11 +87,13 @@ type dirShard struct {
 	objs map[oid.OID]*dirEntry
 	// chained tracks entries carrying MVCC baggage (a version chain or a
 	// committed delete awaiting the watermark), so prune sweeps touch only
-	// them instead of scanning the whole shard.
+	// them instead of scanning the whole shard; the directory's chainedMask
+	// has this shard's bit set exactly while it is non-empty.
 	chained map[oid.OID]bool
 	// flights holds the in-progress fault-ins of this shard's OIDs
 	// (singleflight, see joinFlight). Lazily allocated.
 	flights map[oid.OID]*dirFlight
+	bit     uint64 // this shard's bit in the directory's chainedMask
 }
 
 // dirFlight is one in-progress fault: followers wait on done and share the
@@ -107,12 +110,15 @@ type objDirectory struct {
 	resident atomic.Int64 // entries in the directory, tombstones included
 	hand     atomic.Uint32
 	visited  atomic.Int64 // entries the evictor has examined; tests read it
+	swept    atomic.Int64 // shards pruneChains has locked; tests read it
 
 	// liveVersions counts archived versions across all chains (the
-	// sentinel_versions_live gauge); chainedCount counts entries with MVCC
-	// baggage so per-commit sweeps can skip the directory scan entirely.
+	// sentinel_versions_live gauge). chainedMask has bit i set while shard
+	// i's chained set is non-empty, so a sweep locks only the shards that
+	// hold MVCC baggage — usually the one or two the last commit wrote — and
+	// none at all while there is none.
 	liveVersions atomic.Int64
-	chainedCount atomic.Int64
+	chainedMask  atomic.Uint64
 }
 
 func newObjDirectory() *objDirectory {
@@ -120,6 +126,7 @@ func newObjDirectory() *objDirectory {
 	for i := range d.shards {
 		d.shards[i].objs = make(map[oid.OID]*dirEntry)
 		d.shards[i].chained = make(map[oid.OID]bool)
+		d.shards[i].bit = 1 << i
 	}
 	return d
 }
@@ -392,7 +399,7 @@ func (d *objDirectory) forEach(fn func(id oid.OID, o *object.Object, tomb bool))
 // reader that cloned obj under the shard read lock raced no mutation, and a
 // reader that finds writerActive set serves from the immutable chain head.
 // Commit installs the new LSN (commitWrite/commitCreate/commitDelete) and
-// prunes; abort pops the pushed version after undo closures restored the
+// prunes; abort pops the pushed version after undo records restored the
 // fields. Versions v_0 > v_1 > … cover half-open LSN ranges [v_i.lsn, n_i)
 // where n_i is the next-newer image's LSN (n_0 = e.lsn); v_i is dead once
 // n_i ≤ watermark, because every current and future snapshot S ≥ watermark
@@ -407,23 +414,49 @@ func prependVersion(vs []objVersion, v objVersion) []objVersion {
 }
 
 // chainLocked / unchainLocked maintain the shard's set of entries carrying
-// MVCC baggage plus the global chainedCount. Shard mutex held.
+// MVCC baggage, and its chainedMask bit on the set's empty ↔ non-empty
+// transitions. The bit changes only under the shard mutex, which a sweep
+// takes before it reads the set, so a sweep that loaded the mask without a
+// shard's bit misses only chains pushed after it computed its watermark —
+// live under that watermark, and named by the mask for the next sweep.
+// Shard mutex held.
 func (d *objDirectory) chainLocked(s *dirShard, id oid.OID) {
-	if !s.chained[id] {
-		s.chained[id] = true
-		d.chainedCount.Add(1)
+	if s.chained[id] {
+		return
 	}
+	if len(s.chained) == 0 {
+		d.setMaskBit(s.bit, true)
+	}
+	s.chained[id] = true
 }
 
 func (d *objDirectory) unchainLocked(s *dirShard, id oid.OID) {
-	if s.chained[id] {
-		delete(s.chained, id)
-		d.chainedCount.Add(-1)
+	if !s.chained[id] {
+		return
+	}
+	delete(s.chained, id)
+	if len(s.chained) == 0 {
+		d.setMaskBit(s.bit, false)
+	}
+}
+
+// setMaskBit sets or clears one shard's chainedMask bit. The other shards'
+// bits change concurrently, under their own mutexes, hence the CAS.
+func (d *objDirectory) setMaskBit(bit uint64, on bool) {
+	for {
+		m := d.chainedMask.Load()
+		n := m &^ bit
+		if on {
+			n = m | bit
+		}
+		if d.chainedMask.CompareAndSwap(m, n) {
+			return
+		}
 	}
 }
 
 // popVersionLocked drops the chain head and ends the writer window: the
-// abort path, called after undo closures restored obj's fields to exactly
+// abort path, called after undo records restored obj's fields to exactly
 // the state the popped version archived. Shard mutex held.
 func (d *objDirectory) popVersionLocked(s *dirShard, id oid.OID, e *dirEntry) {
 	if len(e.versions) == 0 {
@@ -439,15 +472,16 @@ func (d *objDirectory) popVersionLocked(s *dirShard, id oid.OID, e *dirEntry) {
 	}
 }
 
-// pushVersion archives the committed image of id into its version chain
-// before the first in-place mutation by an uncommitted writer, and reports
-// whether it pushed (false when the entry is absent, a version is already
-// pushed for this writer window, or the creating transaction has not
-// committed — there is no committed image to archive). The shard write lock
+// pushVersion archives fields — the committed image of id, copied by the
+// caller, which the chain shares read-only from then on — into the version
+// chain before the first in-place mutation by an uncommitted writer, and
+// reports whether it pushed (false when the entry is absent, a version is
+// already pushed for this writer window, or the creating transaction has
+// not committed — there is no committed image to archive). The shard write lock
 // taken here is the happens-before edge against snapshot readers: once it
 // returns, readers see writerActive and serve from the immutable chain head,
 // so the caller may mutate obj's fields without further coordination.
-func (d *objDirectory) pushVersion(id oid.OID) bool {
+func (d *objDirectory) pushVersion(id oid.OID, fields []value.Value) bool {
 	s := d.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -455,7 +489,7 @@ func (d *objDirectory) pushVersion(id oid.OID) bool {
 	if e == nil || e.writerActive || e.lsn == lsnNone {
 		return false
 	}
-	e.versions = prependVersion(e.versions, objVersion{lsn: e.lsn, class: e.obj.Class(), fields: e.obj.CopyFields()})
+	e.versions = prependVersion(e.versions, objVersion{lsn: e.lsn, class: e.obj.Class(), fields: fields})
 	e.writerActive = true
 	d.chainLocked(s, id)
 	d.liveVersions.Add(1)
@@ -629,16 +663,15 @@ func (d *objDirectory) pruneVersionsLocked(e *dirEntry, w uint64) int {
 // pruneChains sweeps every chained entry against watermark w: dead versions
 // are dropped, and committed-deleted entries whose delete LSN the watermark
 // has passed are removed outright. Returns versions pruned and entries
-// dropped. Only entries in the per-shard chained sets are visited, so the
-// sweep is O(MVCC baggage), not O(residents).
+// dropped. Only the shards chainedMask names are locked, and in them only
+// the entries of the chained set are visited, so the sweep is O(MVCC
+// baggage), not O(shards) or O(residents).
 func (d *objDirectory) pruneChains(w uint64) (pruned, dropped int) {
-	for i := range d.shards {
-		s := &d.shards[i]
+	swept := int64(0)
+	for m := d.chainedMask.Load(); m != 0; m &= m - 1 {
+		s := &d.shards[bits.TrailingZeros64(m)]
+		swept++
 		s.mu.Lock()
-		if len(s.chained) == 0 {
-			s.mu.Unlock()
-			continue
-		}
 		for id := range s.chained {
 			e := s.objs[id]
 			if e == nil {
@@ -664,6 +697,7 @@ func (d *objDirectory) pruneChains(w uint64) (pruned, dropped int) {
 		}
 		s.mu.Unlock()
 	}
+	d.swept.Add(swept)
 	return pruned, dropped
 }
 
@@ -742,11 +776,12 @@ func (e *dirEntry) visibleClassLocked(snap uint64) *schema.Class {
 }
 
 // maxChainDepth reports the longest version chain currently live (the
-// Snapshot.Storage stat); it visits only chained entries.
+// Snapshot.Storage stat); it visits only chained entries of the shards
+// chainedMask names.
 func (d *objDirectory) maxChainDepth() int {
 	depth := 0
-	for i := range d.shards {
-		s := &d.shards[i]
+	for m := d.chainedMask.Load(); m != 0; m &= m - 1 {
+		s := &d.shards[bits.TrailingZeros64(m)]
 		s.mu.RLock()
 		for id := range s.chained {
 			if e := s.objs[id]; e != nil && len(e.versions) > depth {

@@ -31,6 +31,9 @@ import (
 // reopen; Go-defined classes pass "" and must register the new version in
 // Options.Schema instead.
 func (db *Database) EvolveClass(t *Tx, newCls *schema.Class, dslSource string) error {
+	if !t.Active() {
+		return txn.ErrNotActive
+	}
 	name := newCls.Name
 	if IsSystemClass(name) {
 		return fmt.Errorf("core: cannot evolve system class %s", name)

@@ -58,7 +58,7 @@ func (db *Database) CreateIndex(t *Tx, class, attr string) (*index.Hash, error) 
 		return nil, err
 	}
 	db.setIndex(k, h, objID)
-	t.inner.OnUndo(func() { db.setIndex(k, nil, 0) })
+	t.onUndo(func() { db.setIndex(k, nil, 0) })
 	return h, nil
 }
 
@@ -76,7 +76,7 @@ func (db *Database) DropIndex(t *Tx, class, attr string) error {
 		return err
 	}
 	db.setIndex(k, nil, 0)
-	t.inner.OnUndo(func() { db.setIndex(k, h, objID) })
+	t.onUndo(func() { db.setIndex(k, h, objID) })
 	return nil
 }
 
@@ -141,7 +141,7 @@ func (db *Database) indexWrite(t *Tx, o *object.Object, attr string, oldV, newV 
 	for _, h := range covering {
 		h.Move(id, oldV, newV)
 	}
-	t.inner.OnUndo(func() {
+	t.onUndo(func() {
 		for _, h := range covering {
 			h.Move(id, newV, oldV)
 		}
@@ -152,7 +152,7 @@ func (db *Database) indexWrite(t *Tx, o *object.Object, attr string, oldV, newV 
 // and arms the undo.
 func (db *Database) indexObjectAdd(t *Tx, o *object.Object) {
 	if db.reindex(o.ID(), nil, o) {
-		t.inner.OnUndo(func() { db.reindex(o.ID(), o, nil) })
+		t.onUndo(func() { db.reindex(o.ID(), o, nil) })
 	}
 }
 
@@ -160,7 +160,7 @@ func (db *Database) indexObjectAdd(t *Tx, o *object.Object) {
 // arms the undo.
 func (db *Database) indexObjectRemove(t *Tx, o *object.Object) {
 	if db.reindex(o.ID(), o, nil) {
-		t.inner.OnUndo(func() { db.reindex(o.ID(), nil, o) })
+		t.onUndo(func() { db.reindex(o.ID(), nil, o) })
 	}
 }
 

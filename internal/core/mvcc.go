@@ -148,11 +148,12 @@ func (db *Database) installVersions(t *Tx, c uint64) {
 }
 
 // maybeSweepChains prunes version chains and expired tombstones after a
-// commit. The chainedCount fast path makes it free while no MVCC baggage
-// exists, and the lastSweep CAS dedups concurrent committers: only the one
-// that advances the recorded watermark pays for the sweep.
+// commit. It is free while no shard holds MVCC baggage (chainedMask is
+// zero), otherwise it locks only the shards that do, and the lastSweep CAS
+// dedups concurrent committers: only the one that advances the recorded
+// watermark pays for the sweep.
 func (db *Database) maybeSweepChains() {
-	if db.dir.chainedCount.Load() == 0 {
+	if db.dir.chainedMask.Load() == 0 {
 		return
 	}
 	w := db.watermark()

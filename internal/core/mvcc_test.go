@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -230,6 +231,75 @@ func TestVersionChainPruneOnRelease(t *testing.T) {
 	}
 	if s.VersionPrunes < 3 {
 		t.Fatalf("VersionPrunes = %d, want >= 3", s.VersionPrunes)
+	}
+}
+
+// TestSweepVisitsOnlyChainedShards pins the post-commit sweep's scope. With
+// no snapshot open a commit's before-image dies at its own sweep, which
+// locks only the shard that holds it — never all 64 — and leaves the
+// chained-shard mask empty. While a snapshot is held, chains build up
+// across many shards, the mask names each of them, and once the snapshot
+// is released the next sweep drains every one to VersionsLive == 0.
+func TestSweepVisitsOnlyChainedShards(t *testing.T) {
+	db := MustOpen(Options{Output: io.Discard})
+	defer db.Close()
+	ids := hotPathClass(t, db, 4*dirShardCount)
+	shard := uint64(ids[0]) % dirShardCount
+	var same []oid.OID
+	for _, id := range ids {
+		if uint64(id)%dirShardCount == shard {
+			same = append(same, id)
+		}
+	}
+	if len(same) < 3 {
+		t.Fatalf("only %d objects in shard %d", len(same), shard)
+	}
+	setX(t, db, ids[0], 0) // settle what the set-up left chained
+
+	const commits = 30
+	before := db.dir.swept.Load()
+	for i := 0; i < commits; i++ {
+		setX(t, db, same[i%len(same)], float64(i))
+		if m := db.dir.chainedMask.Load(); m != 0 {
+			t.Fatalf("commit %d left the chained-shard mask at %#x, want 0", i, m)
+		}
+	}
+	if n := db.dir.swept.Load() - before; n < 1 || n > commits {
+		t.Fatalf("%d commits in one shard locked %d shards in their sweeps, want 1..%d", commits, n, commits)
+	}
+	if live := db.dir.liveVersions.Load(); live != 0 {
+		t.Fatalf("VersionsLive = %d with no snapshot open, want 0", live)
+	}
+
+	setX(t, db, ids[0], 0)
+	snap := db.BeginSnapshot()
+	for i, id := range ids {
+		setX(t, db, id, float64(i+1))
+	}
+	setX(t, db, ids[0], -1)
+	mask := db.dir.chainedMask.Load()
+	if bits.OnesCount64(mask) != dirShardCount {
+		t.Fatalf("chained-shard mask %#x names %d shards while every shard holds a chain, want %d",
+			mask, bits.OnesCount64(mask), dirShardCount)
+	}
+	s := db.Stats().Storage
+	if s.VersionsLive < int64(len(ids)) || s.MaxChainDepth != 2 {
+		t.Fatalf("VersionsLive = %d, MaxChainDepth = %d under a held snapshot; want >= %d and 2",
+			s.VersionsLive, s.MaxChainDepth, len(ids))
+	}
+	if got := snapX(t, db, snap, ids[0]); got != 0 {
+		t.Fatalf("held snapshot reads x = %v, want 0", got)
+	}
+	db.Abort(snap)
+	if err := db.Atomically(func(*Tx) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	s = db.Stats().Storage
+	if s.VersionsLive != 0 || s.MaxChainDepth != 0 {
+		t.Fatalf("after release: VersionsLive = %d, MaxChainDepth = %d; want 0, 0", s.VersionsLive, s.MaxChainDepth)
+	}
+	if m := db.dir.chainedMask.Load(); m != 0 {
+		t.Fatalf("after release the chained-shard mask is %#x, want 0", m)
 	}
 }
 

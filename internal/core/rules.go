@@ -124,7 +124,7 @@ func (db *Database) DefineEvent(t *Tx, name string, src string) (*event.Expr, er
 	db.namedEvents[name] = e
 	db.eventObjs[name] = id
 	db.mu.Unlock()
-	t.inner.OnUndo(func() {
+	t.onUndo(func() {
 		db.mu.Lock()
 		delete(db.namedEvents, name)
 		delete(db.eventObjs, name)
@@ -150,7 +150,7 @@ func (db *Database) DeleteEvent(t *Tx, name string) error {
 	delete(db.namedEvents, name)
 	delete(db.eventObjs, name)
 	db.mu.Unlock()
-	t.inner.OnUndo(func() {
+	t.onUndo(func() {
 		db.mu.Lock()
 		db.namedEvents[name] = e
 		db.eventObjs[name] = id
@@ -604,7 +604,7 @@ func (db *Database) Bind(t *Tx, name string, target oid.OID) error {
 		db.mu.Lock()
 		db.names[name] = target
 		db.mu.Unlock()
-		t.inner.OnUndo(func() {
+		t.onUndo(func() {
 			db.mu.Lock()
 			db.names[name] = prev
 			db.mu.Unlock()
@@ -619,7 +619,7 @@ func (db *Database) Bind(t *Tx, name string, target oid.OID) error {
 		return err
 	}
 	o := db.objectByID(id)
-	t.inner.OnUndo(func() { db.dropName(o) })
+	t.onUndo(func() { db.dropName(o) })
 	return db.loadName(o, nil)
 }
 

@@ -34,23 +34,17 @@ func IsAbort(err error) bool {
 // subscription maintenance happens inside one; Database.Atomically is the
 // convenience wrapper. Tx is not safe for concurrent use by multiple
 // goroutines.
+//
+// The handle is never recycled — callers and parked Pendings keep it after
+// the transaction ends — but its *txState is: Begin takes one from
+// Database.txFree, and the very end of Abort or Pending.Finish empties it and
+// puts it back. A finished Tx has a nil state; every entry point checks
+// Active, which reads only the handle, before it touches one.
 type Tx struct {
 	db    *Database
 	inner *txn.Tx
+	*txState
 
-	dirty   map[oid.OID]bool
-	created map[oid.OID]bool
-	deleted map[oid.OID]bool
-
-	// pinned tracks the directory entries this transaction holds a pin on
-	// (one pin per object per transaction, taken by lockObject when
-	// eviction is enabled). Pins guarantee pointer stability: undo
-	// closures and execution frames capture *object.Object, so the
-	// evictor must not reclaim entries a live transaction references.
-	// Lazily allocated; nil when paging is off.
-	pinned map[oid.OID]bool
-
-	deferred *rule.Agenda
 	detached []rule.Firing
 
 	// pushes holds remote-sink deliveries matched during raise; they fan
@@ -65,22 +59,6 @@ type Tx struct {
 	// can fan them out to their own subscribers. Dropped on abort. See
 	// repl.go.
 	replOccs []event.Occurrence
-
-	// touched holds the tx-scoped rules this transaction delivered events
-	// to; their detectors reset when the transaction ends.
-	touched map[*rule.Rule]bool
-
-	// fireScratch is the reusable buffer for the immediate firing batch of
-	// a raise; each raise takes ownership for its duration (see raise), so
-	// steady-state event traffic schedules immediate rules without
-	// allocating.
-	fireScratch []rule.Firing
-
-	// framePool recycles execution frames for method bodies and rule
-	// evaluations. Frames are strictly call-scoped (callees must not retain
-	// their CallContext/ExecContext past the call), so a LIFO free list
-	// makes the send → body → raise hot path frame-allocation-free.
-	framePool []*frame
 
 	// fromDetachedWorker marks transactions begun by the detached executor
 	// pool: their own detached dispatches (chained firings) bypass queue
@@ -97,6 +75,136 @@ type Tx struct {
 	snapReads map[oid.OID]*object.Object
 
 	finished bool
+}
+
+// txState is the part of a transaction that dies with it and is recycled
+// through Database.txFree: the write set, the pins, the deferred agenda,
+// the undo list and the scratch buffers of the raise and call paths.
+// Nothing in it outlives the transaction — the detached firings' conflict
+// keys are a copy (writeSetOIDs) — and the end paths empty it (resetTouched,
+// releasePins, then recycle) before it is reused.
+type txState struct {
+	dirty   map[oid.OID]bool
+	created map[oid.OID]bool
+	deleted map[oid.OID]bool
+
+	// pinned tracks the directory entries this transaction holds a pin on
+	// (one pin per object per transaction, taken by lockObject when
+	// eviction is enabled). Pins guarantee pointer stability: undo records
+	// and execution frames capture *object.Object, so the evictor must not
+	// reclaim entries a live transaction references. Lazily allocated; nil
+	// while paging is off.
+	pinned map[oid.OID]bool
+
+	deferred rule.Agenda
+
+	// undo is run in reverse on abort (rollback), with the 2PL locks still
+	// held.
+	undo []undoRec
+
+	// touched holds the tx-scoped rules this transaction delivered events
+	// to; their detectors reset when the transaction ends.
+	touched map[*rule.Rule]bool
+
+	// fireScratch is the reusable buffer for the immediate firing batch of
+	// a raise; each raise takes ownership for its duration (see raise), so
+	// steady-state event traffic schedules immediate rules without
+	// allocating.
+	fireScratch []rule.Firing
+
+	// framePool recycles execution frames for method bodies and rule
+	// evaluations. Frames are strictly call-scoped (callees must not retain
+	// their CallContext/ExecContext past the call), so a LIFO free list
+	// makes the send → body → raise hot path frame-allocation-free.
+	framePool []*frame
+}
+
+// txFreeSize is the capacity of Database.txFree, a leaky buffer: Begin
+// takes a state when one is there and allocates otherwise, recycle drops a
+// state when the list is full. Unlike a sync.Pool it keeps its contents
+// across collections and under the race detector (where a Pool drops items
+// at random), so the steady-state hot path allocates no state at all and
+// the allocation pins hold under -race. 64 covers the transactions that end close together in practice —
+// sessions, detached workers, parked tails; a burst beyond it allocates.
+const txFreeSize = 64
+
+// getTxState returns an empty transaction state.
+func (db *Database) getTxState() *txState {
+	select {
+	case st := <-db.txFree:
+		return st
+	default:
+		return &txState{
+			dirty:   make(map[oid.OID]bool),
+			created: make(map[oid.OID]bool),
+			deleted: make(map[oid.OID]bool),
+		}
+	}
+}
+
+// maxRecycledTxState bounds the write set and undo list of a state worth
+// recycling: clear keeps a map's table, so one huge transaction must not
+// pin its maps in the free list.
+const maxRecycledTxState = 1024
+
+// undoRec is one entry of the undo list. A recorded write is typed, so the
+// hot path allocates no closure for it: o's fields go back to snap (the
+// before-image, which the archived version shares when pushed), under
+// paging the entry's dirty bit goes back to wasDirty, and the pushed
+// version pops. Any other undo action is fn.
+type undoRec struct {
+	o        *object.Object
+	snap     []value.Value
+	wasDirty bool
+	pushed   bool
+	fn       func()
+}
+
+// onUndo registers fn to run if the transaction aborts.
+func (t *Tx) onUndo(fn func()) { t.undo = append(t.undo, undoRec{fn: fn}) }
+
+// rollback runs the undo list in reverse: the 2PL locks are still held, and
+// each version pops only after its object's fields are restored.
+func (t *Tx) rollback() {
+	for i := len(t.undo) - 1; i >= 0; i-- {
+		u := &t.undo[i]
+		if u.fn != nil {
+			u.fn()
+			continue
+		}
+		u.o.RestoreFields(u.snap)
+		if t.db.pagingEnabled() {
+			t.db.dir.setDirty(u.o.ID(), u.wasDirty)
+		}
+		if u.pushed {
+			t.db.dir.popVersion(u.o.ID())
+		}
+	}
+}
+
+// recycle empties the transaction's state and returns it to the free list;
+// the last step of Abort and Pending.Finish. A state grown past
+// maxRecycledTxState is left to the collector instead.
+func (t *Tx) recycle() {
+	st := t.txState
+	if st == nil {
+		return
+	}
+	t.txState = nil
+	if len(st.dirty) > maxRecycledTxState || len(st.created) > maxRecycledTxState ||
+		len(st.deleted) > maxRecycledTxState || len(st.pinned) > maxRecycledTxState ||
+		cap(st.undo) > maxRecycledTxState {
+		return
+	}
+	clear(st.dirty)
+	clear(st.created)
+	clear(st.deleted)
+	clear(st.undo)
+	st.undo = st.undo[:0]
+	select {
+	case t.db.txFree <- st:
+	default:
+	}
 }
 
 // writeSetOIDs snapshots the transaction's write set (dirty ∪ created ∪
@@ -146,14 +254,8 @@ func (t *Tx) putFrame(f *frame) {
 
 // Begin starts a transaction.
 func (db *Database) Begin() *Tx {
-	t := &Tx{
-		db:       db,
-		inner:    db.tm.Begin(),
-		dirty:    make(map[oid.OID]bool),
-		created:  make(map[oid.OID]bool),
-		deleted:  make(map[oid.OID]bool),
-		deferred: rule.NewAgenda(db.currentStrategy()),
-	}
+	t := &Tx{db: db, inner: db.tm.Begin(), txState: db.getTxState()}
+	t.deferred.Reset(db.currentStrategy())
 	if tr := db.tracer.Load(); tr != nil && tr.TxBegin != nil {
 		tr.TxBegin(obs.TxInfo{Tx: uint64(t.inner.ID())})
 	}
@@ -177,26 +279,27 @@ func (db *Database) Abort(t *Tx) {
 	t.pushes = nil
 	t.replOccs = nil
 	t.resetTouched()
+	t.rollback()
 	t.inner.Abort()
 	t.releasePins()
 	t.releaseSnapshot()
 	if tr := db.tracer.Load(); tr != nil && tr.TxAbort != nil {
 		tr.TxAbort(obs.TxInfo{Tx: uint64(t.inner.ID())})
 	}
+	t.recycle()
 }
 
 // releasePins drops every directory pin the transaction holds. Runs after
-// the inner transaction finished (undo closures may still dereference the
-// pinned objects while rolling back). Entries removed by an aborted
-// create's undo are tolerated by unpin.
+// rollback (undo records may still dereference the pinned objects). Entries
+// removed by an aborted create's undo are tolerated by unpin.
 func (t *Tx) releasePins() {
-	if t.pinned == nil {
+	if len(t.pinned) == 0 {
 		return
 	}
 	for id := range t.pinned {
 		t.db.dir.unpin(id)
 	}
-	t.pinned = nil
+	clear(t.pinned)
 	// What kept the last sweep above its target may just have been freed.
 	if t.db.evictRetry.Load() != 0 {
 		t.db.evictRetry.Store(0)
@@ -217,7 +320,7 @@ func (t *Tx) resetTouched() {
 	for r := range t.touched {
 		r.ResetDetection()
 	}
-	t.touched = nil
+	clear(t.touched)
 }
 
 // Atomically runs fn inside a transaction, committing on nil and aborting
@@ -285,7 +388,7 @@ func (db *Database) NewObject(t *Tx, class string, inits map[string]value.Value)
 	}
 	db.dir.insert(id, o, pins, !noEvict, noEvict, lsnNone)
 	t.created[id] = true
-	t.inner.OnUndo(func() { db.dir.remove(id) })
+	t.onUndo(func() { db.dir.remove(id) })
 	db.indexObjectAdd(t, o)
 	return id, nil
 }
@@ -293,7 +396,7 @@ func (db *Database) NewObject(t *Tx, class string, inits map[string]value.Value)
 // lockObject locks and returns the object, faulting it in from the heap if
 // necessary and erroring if it does not exist. When eviction is enabled the
 // object is also pinned for the rest of the transaction, so the returned
-// pointer stays valid for undo closures and frames. The resident-hit path
+// pointer stays valid for undo records and frames. The resident-hit path
 // is allocation-free after the first touch per (transaction, object).
 func (db *Database) lockObject(t *Tx, id oid.OID, mode txn.Mode) (*object.Object, error) {
 	if !t.Active() {
@@ -367,14 +470,16 @@ func (db *Database) lockPinned(t *Tx, id oid.OID) (*object.Object, error) {
 // recordWrite snapshots the object once per transaction for rollback and
 // marks it dirty — in the transaction's write set and, under eviction, on
 // the directory entry (a dirty entry is wired until applyCommit stores it;
-// the undo hook restores the prior bit because after rollback the fields
-// match the heap image again).
+// rollback restores the prior bit because the fields then match the heap
+// image again).
 //
 // It also opens the entry's MVCC writer window: pushVersion archives the
 // committed image into the version chain under the shard write lock BEFORE
 // the caller's first in-place mutation, so snapshot readers either cloned
 // the object while it was still clean or serve the immutable chain head.
-// On abort the version pops after the fields are restored.
+// The one copy of the image is both the undo record's before-image and the
+// archived version; neither is ever written. On abort the version pops
+// after the fields are restored.
 func (t *Tx) recordWrite(o *object.Object) {
 	id := o.ID()
 	if t.dirty[id] || t.created[id] {
@@ -382,25 +487,12 @@ func (t *Tx) recordWrite(o *object.Object) {
 		return
 	}
 	t.dirty[id] = true
-	snap := o.CopyFields()
-	pushed := t.db.dir.pushVersion(id)
+	u := undoRec{o: o, snap: o.CopyFields()}
+	u.pushed = t.db.dir.pushVersion(id, u.snap)
 	if t.db.pagingEnabled() {
-		wasDirty := t.db.dir.setDirty(id, true)
-		t.inner.OnUndo(func() {
-			o.RestoreFields(snap)
-			t.db.dir.setDirty(id, wasDirty)
-			if pushed {
-				t.db.dir.popVersion(id)
-			}
-		})
-		return
+		u.wasDirty = t.db.dir.setDirty(id, true)
 	}
-	t.inner.OnUndo(func() {
-		o.RestoreFields(snap)
-		if pushed {
-			t.db.dir.popVersion(id)
-		}
-	})
+	t.undo = append(t.undo, u)
 }
 
 // checkAttrVisible enforces member visibility for an attribute access by

@@ -111,10 +111,19 @@ type Agenda struct {
 
 // NewAgenda returns an agenda using the given strategy (ByPriority if nil).
 func NewAgenda(s Strategy) *Agenda {
+	a := &Agenda{}
+	a.Reset(s)
+	return a
+}
+
+// Reset empties the agenda and restarts it with strategy s (ByPriority if
+// nil), as NewAgenda would, so an agenda embedded in recycled state can be
+// reused.
+func (a *Agenda) Reset(s Strategy) {
 	if s == nil {
 		s = ByPriority{}
 	}
-	return &Agenda{strategy: s}
+	*a = Agenda{strategy: s}
 }
 
 // SetStrategy swaps the conflict-resolution policy.

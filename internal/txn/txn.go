@@ -60,8 +60,15 @@ type Lockable uint64
 type lockState struct {
 	holders map[ID]Mode
 	waiters int
-	cond    *sync.Cond
+	// cond is allocated by the first waiter and kept when the state is
+	// recycled: an uncontended lock never needs one.
+	cond *sync.Cond
 }
+
+// maxFree bounds each of the Manager's free lists, and the size of a held
+// map worth keeping, so a burst of locks or one huge transaction does not
+// stay pinned once it is over.
+const maxFree = 256
 
 // Manager coordinates transactions and the lock table.
 type Manager struct {
@@ -71,6 +78,14 @@ type Manager struct {
 	active map[ID]*Tx
 	// waitsFor[a][b] == true: transaction a is waiting for a lock held by b.
 	waitsFor map[ID]map[ID]bool
+
+	// freeLocks holds lock states (with their empty holders maps) that left
+	// the lock table, freeHeld the emptied held-lock maps of finished
+	// transactions; Lock and Begin take from them before allocating. A
+	// state is recycled only once it has neither holders nor waiters, so no
+	// goroutine still points at it.
+	freeLocks []*lockState
+	freeHeld  []map[Lockable]Mode
 
 	// Stats.
 	started, committed, aborted, deadlocks, waits uint64
@@ -103,7 +118,13 @@ func (m *Manager) Begin() *Tx {
 	defer m.mu.Unlock()
 	m.nextID++
 	m.started++
-	t := &Tx{id: m.nextID, mgr: m, state: Active, held: make(map[Lockable]Mode)}
+	t := &Tx{id: m.nextID, mgr: m, state: Active}
+	if n := len(m.freeHeld); n > 0 {
+		t.held = m.freeHeld[n-1]
+		m.freeHeld = m.freeHeld[:n-1]
+	} else {
+		t.held = make(map[Lockable]Mode)
+	}
 	m.active[t.id] = t
 	return t
 }
@@ -171,8 +192,12 @@ func (t *Tx) Lock(res Lockable, mode Mode) error {
 	}
 	ls := m.locks[res]
 	if ls == nil {
-		ls = &lockState{holders: make(map[ID]Mode)}
-		ls.cond = sync.NewCond(&m.mu)
+		if n := len(m.freeLocks); n > 0 {
+			ls = m.freeLocks[n-1]
+			m.freeLocks = m.freeLocks[:n-1]
+		} else {
+			ls = &lockState{holders: make(map[ID]Mode)}
+		}
 		m.locks[res] = ls
 	}
 	for !grantable(ls, t.id, mode) {
@@ -196,6 +221,9 @@ func (t *Tx) Lock(res Lockable, mode Mode) error {
 			return ErrDeadlock
 		}
 		m.waits++
+		if ls.cond == nil {
+			ls.cond = sync.NewCond(&m.mu)
+		}
 		ls.waiters++
 		ls.cond.Wait()
 		ls.waiters--
@@ -268,8 +296,10 @@ func (m *Manager) cycleFrom(start ID) bool {
 	return false
 }
 
-// releaseAllLocked drops every lock held by t and wakes waiters. Caller
-// holds m.mu.
+// releaseAllLocked drops every lock held by t and wakes waiters. A lock
+// state left with neither holders nor waiters goes to the free list, and so
+// does t's emptied held map: t is finished, so Lock never reads it again.
+// Caller holds m.mu.
 func (m *Manager) releaseAllLocked(t *Tx) {
 	for res := range t.held {
 		ls := m.locks[res]
@@ -277,13 +307,21 @@ func (m *Manager) releaseAllLocked(t *Tx) {
 			continue
 		}
 		delete(ls.holders, t.id)
-		if len(ls.holders) == 0 && ls.waiters == 0 {
-			delete(m.locks, res)
-		} else {
+		switch {
+		case ls.waiters > 0:
 			ls.cond.Broadcast()
+		case len(ls.holders) == 0:
+			delete(m.locks, res)
+			if len(m.freeLocks) < maxFree {
+				m.freeLocks = append(m.freeLocks, ls)
+			}
 		}
 	}
-	t.held = make(map[Lockable]Mode)
+	if len(t.held) <= maxFree && len(m.freeHeld) < maxFree {
+		clear(t.held)
+		m.freeHeld = append(m.freeHeld, t.held)
+	}
+	t.held = nil
 	delete(m.active, t.id)
 	delete(m.waitsFor, t.id)
 }

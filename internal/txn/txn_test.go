@@ -343,3 +343,121 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 		t.Fatalf("%d transactions leaked", m.ActiveCount())
 	}
 }
+
+// recycleLockStates runs n uncontended transactions over res, so the lock
+// states and held maps the next requests get come from the manager's free
+// lists (with no cond allocated: nobody ever waited on them).
+func recycleLockStates(t *testing.T, m *Manager, n int, res ...Lockable) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		tx := m.Begin()
+		for _, r := range res {
+			if err := tx.Lock(r, Exclusive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.locks) != 0 {
+		t.Fatalf("%d lock states left in the table after every holder finished", len(m.locks))
+	}
+	if len(m.freeLocks) == 0 {
+		t.Fatal("no lock state was recycled")
+	}
+}
+
+// TestRecycledLockStateWakesWaiter: a contended lock on a recycled lock
+// state allocates its cond when the first waiter arrives, and the holder's
+// release wakes that waiter. Repeated so the cond itself is reused too.
+func TestRecycledLockStateWakesWaiter(t *testing.T) {
+	m := NewManager()
+	recycleLockStates(t, m, 100, 1, 2, 3)
+	for round := 0; round < 50; round++ {
+		holder := m.Begin()
+		if err := holder.Lock(1, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		waiter := m.Begin()
+		got := make(chan error, 1)
+		go func() { got <- waiter.Lock(1, Exclusive) }()
+		for {
+			m.mu.Lock()
+			waiting := m.locks[1].waiters
+			m.mu.Unlock()
+			if waiting == 1 {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		select {
+		case err := <-got:
+			t.Fatalf("waiter got the lock (%v) while the holder had it", err)
+		default:
+		}
+		if err := holder.Commit(nil); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Fatalf("round %d: waiter: %v", round, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: the waiter on a recycled lock state was never woken", round)
+		}
+		if err := waiter.Commit(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.locks) != 0 {
+		t.Fatalf("%d lock states left in the table", len(m.locks))
+	}
+}
+
+// TestRecycledLockStateDeadlock: a two-party cycle over recycled lock
+// states still returns ErrDeadlock to one party, and the survivor gets its
+// lock once the victim aborts.
+func TestRecycledLockStateDeadlock(t *testing.T) {
+	m := NewManager()
+	recycleLockStates(t, m, 100, 1, 2)
+	for round := 0; round < 20; round++ {
+		a, b := m.Begin(), m.Begin()
+		if err := a.Lock(1, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Lock(2, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		aErr := make(chan error, 1)
+		go func() { aErr <- a.Lock(2, Exclusive) }()
+		for {
+			m.mu.Lock()
+			waiting := m.locks[2].waiters
+			m.mu.Unlock()
+			if waiting == 1 {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if err := b.Lock(1, Exclusive); !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("round %d: closing the cycle returned %v, want ErrDeadlock", round, err)
+		}
+		b.Abort()
+		select {
+		case err := <-aErr:
+			if err != nil {
+				t.Fatalf("round %d: survivor: %v", round, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: the survivor was never woken after the victim aborted", round)
+		}
+		if err := a.Commit(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.Stats(); st.Deadlocks != 20 {
+		t.Fatalf("Deadlocks = %d, want 20", st.Deadlocks)
+	}
+}
