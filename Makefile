@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodePayload -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz FuzzParseScript -fuzztime $(FUZZTIME) ./internal/lang/
 	$(GO) test -fuzz FuzzParseEventExpr -fuzztime $(FUZZTIME) ./internal/lang/
+	$(GO) test -fuzz FuzzBlockTransparency -fuzztime $(FUZZTIME) ./internal/lang/
 	$(GO) test -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeReplBatch -fuzztime $(FUZZTIME) ./internal/wire/

@@ -422,7 +422,7 @@ func (db *Database) installCommit(t *Tx, c *commitState) {
 func (db *Database) releaseCommit(t *Tx) {
 	t.finished = true
 	t.resetTouched()
-	_ = t.inner.Commit(nil) // cannot fail: Active was checked and only this goroutine ends t
+	_ = t.inner.Commit() // cannot fail: Active was checked and only this goroutine ends t
 	t.releasePins()
 	t.releaseSnapshot()
 }

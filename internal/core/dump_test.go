@@ -8,6 +8,7 @@ import (
 	"sentinel/internal/bench"
 	"sentinel/internal/core"
 	"sentinel/internal/event"
+	"sentinel/internal/oid"
 	"sentinel/internal/rule"
 	"sentinel/internal/value"
 )
@@ -235,5 +236,95 @@ func TestDumpGoRegistryRefsRoundtrip(t *testing.T) {
 	}
 	if fired != 1 {
 		t.Fatalf("restored go: rule fired %d times", fired)
+	}
+}
+
+// largeDump dumps a ring of n Node objects, each referring to the next:
+// one top-level `let` per object and one reference assignment per object,
+// so restoring it keeps n bindings in one compilation-unit scope.
+func largeDump(t testing.TB, n int) string {
+	t.Helper()
+	db := core.MustOpen(core.Options{Output: io.Discard})
+	if err := db.Exec(`class Node persistent { attr id int attr next Node }`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Atomically(func(tx *core.Tx) error {
+		ids := make([]oid.OID, n)
+		for i := range ids {
+			id, err := db.NewObject(tx, "Node", map[string]value.Value{"id": value.Int(int64(i))})
+			if err != nil {
+				return err
+			}
+			ids[i] = id
+		}
+		for i, id := range ids {
+			if err := db.Set(tx, id, "next", value.Ref(ids[(i+1)%n])); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var dump strings.Builder
+	if err := db.DumpDSL(&dump); err != nil {
+		t.Fatal(err)
+	}
+	return dump.String()
+}
+
+// TestRestoreLargeDump restores a dump of 10,000 objects and walks the
+// restored ring. A restore keeps every object's variable in one scope, so
+// name resolution there must not scan all earlier bindings.
+func TestRestoreLargeDump(t *testing.T) {
+	const n = 10000
+	text := largeDump(t, n)
+	db := core.MustOpen(core.Options{Output: io.Discard})
+	if err := db.RestoreDSL(text); err != nil {
+		t.Fatal(err)
+	}
+	ids := db.InstancesOf("Node")
+	if len(ids) != n {
+		t.Fatalf("restored %d Nodes, want %d", len(ids), n)
+	}
+	if err := db.Atomically(func(tx *core.Tx) error {
+		cur := ids[0]
+		for step := 0; step < n; step++ {
+			id, err := db.Get(tx, cur, "id")
+			if err != nil {
+				return err
+			}
+			next, err := db.Get(tx, cur, "next")
+			if err != nil {
+				return err
+			}
+			nid, _ := next.AsRef()
+			want, _ := id.AsInt()
+			got, err := db.Get(tx, nid, "id")
+			if err != nil {
+				return err
+			}
+			if g, _ := got.AsInt(); g != (want+1)%n {
+				t.Fatalf("Node %d.next has id %d, want %d", want, g, (want+1)%n)
+			}
+			cur = nid
+		}
+		if cur != ids[0] {
+			t.Fatalf("walking %d steps from %v ended at %v", n, ids[0], cur)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func BenchmarkRestoreDSL(b *testing.B) {
+	text := largeDump(b, 10000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db := core.MustOpen(core.Options{Output: io.Discard})
+		if err := db.RestoreDSL(text); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

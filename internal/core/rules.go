@@ -421,19 +421,17 @@ func (db *Database) resolveAction(spec RuleSpec) (rule.Action, string, error) {
 	return db.dslAction(stmts), src, nil
 }
 
-// detectionScope binds the parameters of every constituent occurrence into
-// a fresh scope (later constituents shadow earlier ones), so a condition
-// like `amount > 1000` reads the triggering call's actuals.
-func detectionScope(det event.Detection) *lang.Scope {
-	sc := lang.NewScope(nil)
+// bindDetection binds the parameters of every constituent occurrence into
+// the interpreter frame (later constituents overwrite earlier ones), so a
+// condition like `amount > 1000` reads the triggering call's actuals.
+func bindDetection(in *lang.Interp, det event.Detection) {
 	for _, occ := range det.Constituents {
 		for i, n := range occ.ParamNames {
 			if i < len(occ.Args) {
-				sc.Define(n, occ.Args[i])
+				in.Define(n, occ.Args[i])
 			}
 		}
 	}
-	return sc
 }
 
 // dslCondition compiles a parsed condition into a rule.Condition. The
@@ -444,7 +442,8 @@ func (db *Database) dslCondition(ast lang.Expr) rule.Condition {
 		if !ok {
 			return false, fmt.Errorf("core: DSL condition outside the runtime")
 		}
-		in := lang.NewInterp(fr, fr.Self(), detectionScope(det))
+		in := lang.Interp{Env: fr, Self: fr.Self()}
+		bindDetection(&in, det)
 		return in.EvalCondition(ast)
 	}
 }
@@ -456,7 +455,8 @@ func (db *Database) dslAction(stmts []lang.Stmt) rule.Action {
 		if !ok {
 			return fmt.Errorf("core: DSL action outside the runtime")
 		}
-		in := lang.NewInterp(fr, fr.Self(), detectionScope(det))
+		in := lang.Interp{Env: fr, Self: fr.Self()}
+		bindDetection(&in, det)
 		return in.ExecStmts(stmts)
 	}
 }

@@ -161,11 +161,10 @@ func (db *Database) buildDSLClass(d *lang.ClassDecl) (*schema.Class, error) {
 				if !ok {
 					return value.Nil, fmt.Errorf("core: interpreted method outside the runtime")
 				}
-				sc := lang.NewScope(nil)
+				in := lang.Interp{Env: fr, Self: ctx.Self()}
 				for i, p := range params {
-					sc.Define(p.Name, ctx.Arg(i))
+					in.Define(p.Name, ctx.Arg(i))
 				}
-				in := lang.NewInterp(fr, ctx.Self(), sc)
 				return in.ExecBody(body)
 			},
 		})

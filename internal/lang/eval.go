@@ -56,25 +56,101 @@ type Env interface {
 	Output(s string)
 }
 
-// Scope is a lexical scope chain for locals and event parameters.
+// binding is one name on a Scope's stack.
+type binding struct {
+	name string
+	v    value.Value
+	prev int // once the Scope is indexed: the next-outer binding of name, or -1
+}
+
+// scopeInline is how many bindings a Scope holds before it spills to a
+// slice: enough for the parameters and locals of a typical condition,
+// action or method body.
+const scopeInline = 4
+
+// scopeIndexAt is the stack height at which a Scope starts a name index.
+// Below it a name is found by scanning the few bindings there are; a
+// script's scope (a dump has one top-level `let` per object) grows past
+// it and then finds a name in one map lookup.
+const scopeIndexAt = 16
+
+// Scope holds locals and event parameters as one flat stack of bindings,
+// innermost last. A block (`if`/`else` body, `while` body, each `for`
+// iteration) is not a scope of its own but a mark on this stack: it opens
+// at the top and pops back to it when it ends. The zero Scope is an empty
+// root.
 type Scope struct {
-	vars   map[string]value.Value
 	parent *Scope
+	inline [scopeInline]binding
+	spill  []binding      // bindings past the inline ones
+	index  map[string]int // innermost binding of each name; nil until n first reaches scopeIndexAt
+	n      int            // bindings on the stack
+	base   int            // first binding of the innermost open block
 }
 
 // NewScope returns a scope with the given parent (nil for the root).
-func NewScope(parent *Scope) *Scope {
-	return &Scope{vars: make(map[string]value.Value), parent: parent}
+func NewScope(parent *Scope) *Scope { return &Scope{parent: parent} }
+
+func (s *Scope) at(i int) *binding {
+	if i < scopeInline {
+		return &s.inline[i]
+	}
+	return &s.spill[i-scopeInline]
 }
 
-// Define creates (or overwrites) a binding in this scope.
-func (s *Scope) Define(name string, v value.Value) { s.vars[name] = v }
+// find returns the innermost binding of name at or above stack index from.
+func (s *Scope) find(name string, from int) *binding {
+	if s.index != nil {
+		if i, ok := s.index[name]; ok && i >= from {
+			return s.at(i)
+		}
+		return nil
+	}
+	for i := s.n - 1; i >= from; i-- {
+		if b := s.at(i); b.name == name {
+			return b
+		}
+	}
+	return nil
+}
 
-// Lookup resolves a name through the chain.
+// Define creates (or overwrites) a binding in the innermost open block.
+func (s *Scope) Define(name string, v value.Value) {
+	if b := s.find(name, s.base); b != nil {
+		b.v = v
+		return
+	}
+	b := binding{name: name, v: v, prev: -1}
+	if s.index != nil {
+		if i, ok := s.index[name]; ok {
+			b.prev = i
+		}
+		s.index[name] = s.n
+	}
+	if s.n < scopeInline {
+		s.inline[s.n] = b
+	} else {
+		s.spill = append(s.spill[:s.n-scopeInline], b)
+	}
+	s.n++
+	if s.index == nil && s.n == scopeIndexAt {
+		s.index = make(map[string]int, 2*scopeIndexAt)
+		for i := 0; i < s.n; i++ {
+			b := s.at(i)
+			b.prev = -1
+			if j, ok := s.index[b.name]; ok {
+				b.prev = j
+			}
+			s.index[b.name] = i
+		}
+	}
+}
+
+// Lookup resolves a name innermost-first, then through the parent chain.
 func (s *Scope) Lookup(name string) (value.Value, bool) {
 	for sc := s; sc != nil; sc = sc.parent {
-		if v, ok := sc.vars[name]; ok {
-			return v, true
+		if b := sc.find(name, 0); b != nil {
+			return b.v, true
 		}
 	}
 	return value.Nil, false
@@ -83,12 +159,38 @@ func (s *Scope) Lookup(name string) (value.Value, bool) {
 // assign overwrites the nearest existing binding; ok=false if none exists.
 func (s *Scope) assign(name string, v value.Value) bool {
 	for sc := s; sc != nil; sc = sc.parent {
-		if _, ok := sc.vars[name]; ok {
-			sc.vars[name] = v
+		if b := sc.find(name, 0); b != nil {
+			b.v = v
 			return true
 		}
 	}
 	return false
+}
+
+// open starts a block at the top of the stack and returns the enclosing
+// block's base, which close takes back.
+func (s *Scope) open() (outer int) {
+	outer, s.base = s.base, s.n
+	return outer
+}
+
+// close pops the innermost block, clearing its bindings so the values they
+// held are not kept alive, and reopens the enclosing block at outer. A
+// block binds each name once, so every binding it pops is its name's
+// innermost, and the index falls back to the one that binding shadowed.
+func (s *Scope) close(outer int) {
+	for i := s.base; i < s.n; i++ {
+		b := s.at(i)
+		if s.index != nil {
+			if b.prev >= 0 {
+				s.index[b.name] = b.prev
+			} else {
+				delete(s.index, b.name)
+			}
+		}
+		*b = binding{}
+	}
+	s.n, s.base = s.base, outer
 }
 
 // returnSignal unwinds a method body on `return`.
@@ -96,11 +198,15 @@ type returnSignal struct{ v value.Value }
 
 func (returnSignal) Error() string { return "return outside of method body" }
 
-// Interp evaluates SentinelQL ASTs against an Env.
+// Interp evaluates SentinelQL ASTs against an Env. An Interp built as a
+// value with a nil Scope keeps its bindings in itself, so a rule condition,
+// action or method body that declares one on the Go stack runs without a
+// heap scope.
 type Interp struct {
 	Env   Env
 	Self  oid.OID // oid.Nil outside method/rule frames
-	Scope *Scope
+	Scope *Scope  // nil: the Interp's own bindings
+	own   Scope
 }
 
 // NewInterp returns an interpreter frame.
@@ -109,6 +215,27 @@ func NewInterp(env Env, self oid.OID, scope *Scope) *Interp {
 		scope = NewScope(nil)
 	}
 	return &Interp{Env: env, Self: self, Scope: scope}
+}
+
+func (in *Interp) scope() *Scope {
+	if in.Scope != nil {
+		return in.Scope
+	}
+	return &in.own
+}
+
+// Define binds name in the frame's innermost open block (an event or
+// call parameter before the body runs).
+func (in *Interp) Define(name string, v value.Value) { in.scope().Define(name, v) }
+
+// execBlock runs stmts as a block: the bindings they define are popped
+// when it ends, however it ends.
+func (in *Interp) execBlock(stmts []Stmt) error {
+	sc := in.scope()
+	outer := sc.open()
+	err := in.ExecStmts(stmts)
+	sc.close(outer)
+	return err
 }
 
 // EvalCondition evaluates a condition expression to a boolean (Truthy).
@@ -151,7 +278,7 @@ func (in *Interp) execStmt(st Stmt) error {
 		if err != nil {
 			return err
 		}
-		in.Scope.Define(s.Name, v)
+		in.scope().Define(s.Name, v)
 		return nil
 
 	case *Assign:
@@ -161,7 +288,7 @@ func (in *Interp) execStmt(st Stmt) error {
 		}
 		switch tgt := s.Target.(type) {
 		case *Ident:
-			if in.Scope.assign(tgt.Name, v) {
+			if in.scope().assign(tgt.Name, v) {
 				return nil
 			}
 			// Fall through to a self attribute.
@@ -227,11 +354,10 @@ func (in *Interp) execStmt(st Stmt) error {
 		if err != nil {
 			return err
 		}
-		child := &Interp{Env: in.Env, Self: in.Self, Scope: NewScope(in.Scope)}
 		if ok {
-			return child.ExecStmts(s.Then)
+			return in.execBlock(s.Then)
 		}
-		return child.ExecStmts(s.Else)
+		return in.execBlock(s.Else)
 
 	case *WhileStmt:
 		for i := 0; ; i++ {
@@ -245,8 +371,7 @@ func (in *Interp) execStmt(st Stmt) error {
 			if !ok {
 				return nil
 			}
-			child := &Interp{Env: in.Env, Self: in.Self, Scope: NewScope(in.Scope)}
-			if err := child.ExecStmts(s.Body); err != nil {
+			if err := in.execBlock(s.Body); err != nil {
 				return err
 			}
 		}
@@ -260,10 +385,13 @@ func (in *Interp) execStmt(st Stmt) error {
 		if !ok {
 			return errf(s.Pos, "for .. in expects a list, got %s", seqV.Kind())
 		}
+		sc := in.scope()
 		for _, e := range l {
-			child := &Interp{Env: in.Env, Self: in.Self, Scope: NewScope(in.Scope)}
-			child.Scope.Define(s.Var, e)
-			if err := child.ExecStmts(s.Body); err != nil {
+			outer := sc.open()
+			sc.Define(s.Var, e)
+			err := in.ExecStmts(s.Body)
+			sc.close(outer)
+			if err != nil {
 				return err
 			}
 		}
@@ -313,7 +441,7 @@ func (in *Interp) Eval(e Expr) (value.Value, error) {
 		return value.Ref(in.Self), nil
 
 	case *Ident:
-		if v, ok := in.Scope.Lookup(x.Name); ok {
+		if v, ok := in.scope().Lookup(x.Name); ok {
 			return v, nil
 		}
 		if !in.Self.IsNil() {

@@ -1,8 +1,9 @@
 package rule
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sentinel/internal/event"
 	"sentinel/internal/oid"
@@ -50,12 +51,14 @@ func (ByPriority) Order(fs []Firing) {
 	if len(fs) < 2 {
 		return
 	}
-	sort.SliceStable(fs, func(i, j int) bool {
-		if fs[i].Rule.Priority != fs[j].Rule.Priority {
-			return fs[i].Rule.Priority > fs[j].Rule.Priority
-		}
-		return fs[i].Seq < fs[j].Seq
-	})
+	slices.SortStableFunc(fs, byPriority)
+}
+
+func byPriority(a, b Firing) int {
+	if c := cmp.Compare(b.Rule.Priority, a.Rule.Priority); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // FIFO executes in arrival order regardless of priority.
@@ -69,7 +72,7 @@ func (FIFO) Order(fs []Firing) {
 	if len(fs) < 2 {
 		return
 	}
-	sort.SliceStable(fs, func(i, j int) bool { return fs[i].Seq < fs[j].Seq })
+	slices.SortStableFunc(fs, func(a, b Firing) int { return cmp.Compare(a.Seq, b.Seq) })
 }
 
 // LIFO executes most recently triggered first.
@@ -83,7 +86,7 @@ func (LIFO) Order(fs []Firing) {
 	if len(fs) < 2 {
 		return
 	}
-	sort.SliceStable(fs, func(i, j int) bool { return fs[i].Seq > fs[j].Seq })
+	slices.SortStableFunc(fs, func(a, b Firing) int { return cmp.Compare(b.Seq, a.Seq) })
 }
 
 // ParseStrategy resolves a strategy by name ("" means priority).

@@ -1,18 +1,17 @@
 // Package txn implements transactions for the object store: strict
-// two-phase locking at object (OID) granularity, deadlock detection over a
-// waits-for graph, and an undo log of closures for in-memory rollback.
+// two-phase locking at object (OID) granularity and deadlock detection over
+// a waits-for graph.
 //
 // The paper requires that rules and events be "subject to the same
 // transaction semantics" as other objects (§3.4), that rule actions can
 // abort the triggering transaction (Fig. 9), and that detached-mode rules
 // run in their own transactions. This package is that substrate; the core
 // layer decides what to log and when (deferred rules run just before
-// Commit, detached rules after it).
+// Commit, detached rules after it) and keeps its own undo list.
 package txn
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -142,14 +141,6 @@ type Tx struct {
 	mgr   *Manager
 	state State
 	held  map[Lockable]Mode
-	undo  []func()
-
-	// onCommit hooks run after the commit decision (state already
-	// Committed) but before locks release; onCommitted hooks run after
-	// release — the window where detached rules are launched.
-	onCommit    []func() error
-	onCommitted []func()
-	onAbort     []func()
 }
 
 // ID returns the transaction's identifier.
@@ -160,22 +151,6 @@ func (t *Tx) State() State { return t.state }
 
 // Active reports whether the transaction can still do work.
 func (t *Tx) Active() bool { return t.state == Active }
-
-// OnUndo registers a closure run (in reverse order) if the transaction
-// aborts; used by the core layer to restore object before-images.
-func (t *Tx) OnUndo(fn func()) { t.undo = append(t.undo, fn) }
-
-// OnCommit registers a hook run during Commit, after the commit record is
-// durable, before locks are released. An error here is reported but does
-// not un-commit.
-func (t *Tx) OnCommit(fn func() error) { t.onCommit = append(t.onCommit, fn) }
-
-// OnCommitted registers a hook run after locks are released (detached-rule
-// launch window).
-func (t *Tx) OnCommitted(fn func()) { t.onCommitted = append(t.onCommitted, fn) }
-
-// OnAbort registers a hook run after rollback completes.
-func (t *Tx) OnAbort(fn func()) { t.onAbort = append(t.onAbort, fn) }
 
 // Lock acquires the lock on res in the given mode, blocking until granted.
 // Lock upgrades (S held, X requested) are supported. It returns ErrDeadlock
@@ -326,76 +301,31 @@ func (m *Manager) releaseAllLocked(t *Tx) {
 	delete(m.waitsFor, t.id)
 }
 
-// Commit finishes the transaction successfully. The durable parameter is a
-// callback invoked with the commit decision made but locks still held —
-// the core layer writes and syncs the WAL there; if it errors, the
-// transaction aborts instead.
-func (t *Tx) Commit(durable func() error) error {
+// Commit finishes the transaction successfully and releases its locks.
+func (t *Tx) Commit() error {
 	m := t.mgr
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if t.state != Active {
-		m.mu.Unlock()
 		return ErrNotActive
 	}
-	m.mu.Unlock()
-
-	if durable != nil {
-		if err := durable(); err != nil {
-			t.Abort()
-			return fmt.Errorf("txn: commit durability failed (transaction aborted): %w", err)
-		}
-	}
-
-	m.mu.Lock()
 	t.state = Committed
 	m.committed++
-	hooks := t.onCommit
-	t.onCommit = nil
-	m.mu.Unlock()
-
-	var hookErr error
-	for _, fn := range hooks {
-		if err := fn(); err != nil && hookErr == nil {
-			hookErr = err
-		}
-	}
-
-	m.mu.Lock()
 	m.releaseAllLocked(t)
-	after := t.onCommitted
-	t.onCommitted = nil
-	m.mu.Unlock()
-	for _, fn := range after {
-		fn()
-	}
-	return hookErr
+	return nil
 }
 
-// Abort rolls the transaction back: undo closures run in reverse, locks
-// release, abort hooks fire. Aborting a finished transaction is a no-op.
+// Abort ends the transaction unsuccessfully and releases its locks; the
+// caller has already rolled back its writes. Aborting a finished
+// transaction is a no-op.
 func (t *Tx) Abort() {
 	m := t.mgr
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if t.state != Active {
-		m.mu.Unlock()
 		return
 	}
 	t.state = Aborted
 	m.aborted++
-	undo := t.undo
-	t.undo = nil
-	m.mu.Unlock()
-
-	for i := len(undo) - 1; i >= 0; i-- {
-		undo[i]()
-	}
-
-	m.mu.Lock()
 	m.releaseAllLocked(t)
-	hooks := t.onAbort
-	t.onAbort = nil
-	m.mu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
 }

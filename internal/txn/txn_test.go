@@ -16,13 +16,13 @@ func TestBasicLifecycle(t *testing.T) {
 	if err := tx.Lock(1, Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(nil); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if tx.State() != Committed {
 		t.Fatal("not committed")
 	}
-	if err := tx.Commit(nil); !errors.Is(err, ErrNotActive) {
+	if err := tx.Commit(); !errors.Is(err, ErrNotActive) {
 		t.Fatalf("double commit: %v", err)
 	}
 	st := m.Stats()
@@ -70,13 +70,13 @@ func TestExclusiveBlocksUntilRelease(t *testing.T) {
 		t.Fatal("X lock granted while held")
 	case <-time.After(50 * time.Millisecond):
 	}
-	a.Commit(nil)
+	a.Commit()
 	select {
 	case <-acquired:
 	case <-time.After(time.Second):
 		t.Fatal("lock not granted after release")
 	}
-	b.Commit(nil)
+	b.Commit()
 }
 
 func TestLockUpgrade(t *testing.T) {
@@ -193,87 +193,16 @@ func TestUpgradeDeadlock(t *testing.T) {
 	b.Abort()
 }
 
-func TestUndoRunsInReverseOnAbort(t *testing.T) {
-	m := NewManager()
-	tx := m.Begin()
-	var order []int
-	tx.OnUndo(func() { order = append(order, 1) })
-	tx.OnUndo(func() { order = append(order, 2) })
-	tx.OnUndo(func() { order = append(order, 3) })
-	tx.Abort()
-	if len(order) != 3 || order[0] != 3 || order[2] != 1 {
-		t.Fatalf("undo order = %v", order)
-	}
-	// Undo does not run on commit.
-	tx2 := m.Begin()
-	ran := false
-	tx2.OnUndo(func() { ran = true })
-	tx2.Commit(nil)
-	if ran {
-		t.Fatal("undo ran on commit")
-	}
-}
-
-func TestCommitHooksAndDurability(t *testing.T) {
-	m := NewManager()
-	tx := m.Begin()
-	var seq []string
-	tx.OnCommit(func() error { seq = append(seq, "commit-hook"); return nil })
-	tx.OnCommitted(func() { seq = append(seq, "after-release") })
-	tx.OnAbort(func() { seq = append(seq, "abort-hook") })
-	err := tx.Commit(func() error { seq = append(seq, "durable"); return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"durable", "commit-hook", "after-release"}
-	if len(seq) != 3 || seq[0] != want[0] || seq[1] != want[1] || seq[2] != want[2] {
-		t.Fatalf("sequence = %v", seq)
-	}
-}
-
-func TestDurabilityFailureAborts(t *testing.T) {
-	m := NewManager()
-	tx := m.Begin()
-	tx.Lock(1, Exclusive)
-	undone := false
-	tx.OnUndo(func() { undone = true })
-	err := tx.Commit(func() error { return errors.New("disk full") })
-	if err == nil {
-		t.Fatal("commit with failing durability succeeded")
-	}
-	if tx.State() != Aborted {
-		t.Fatalf("state = %v, want Aborted", tx.State())
-	}
-	if !undone {
-		t.Fatal("undo did not run after durability failure")
-	}
-	// The lock is released: another tx can take it immediately.
-	tx2 := m.Begin()
-	if err := tx2.Lock(1, Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	tx2.Abort()
-}
-
-func TestAbortHooks(t *testing.T) {
-	m := NewManager()
-	tx := m.Begin()
-	ran := false
-	tx.OnAbort(func() { ran = true })
-	tx.Abort()
-	if !ran {
-		t.Fatal("abort hook did not run")
-	}
-	// Idempotent.
-	tx.Abort()
-}
-
 func TestLockAfterFinishFails(t *testing.T) {
 	m := NewManager()
 	tx := m.Begin()
-	tx.Commit(nil)
+	tx.Commit()
 	if err := tx.Lock(1, Shared); !errors.Is(err, ErrNotActive) {
 		t.Fatalf("lock after commit: %v", err)
+	}
+	tx.Abort() // a no-op on a finished transaction
+	if tx.State() != Committed || m.Stats().Aborted != 0 {
+		t.Fatalf("abort after commit: state %v, stats %+v", tx.State(), m.Stats())
 	}
 }
 
@@ -299,17 +228,13 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 			tx.Abort()
 			return false
 		}
+		// A transfer aborts only before it touches the balances, so it
+		// has nothing to roll back.
 		bmu.Lock()
-		before, after := balances[from], balances[to]
 		balances[from] -= amt
 		balances[to] += amt
 		bmu.Unlock()
-		tx.OnUndo(func() {
-			bmu.Lock()
-			balances[from], balances[to] = before, after
-			bmu.Unlock()
-		})
-		return tx.Commit(nil) == nil
+		return tx.Commit() == nil
 	}
 
 	var wg sync.WaitGroup
@@ -356,7 +281,7 @@ func recycleLockStates(t *testing.T, m *Manager, n int, res ...Lockable) {
 				t.Fatal(err)
 			}
 		}
-		if err := tx.Commit(nil); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -396,7 +321,7 @@ func TestRecycledLockStateWakesWaiter(t *testing.T) {
 			t.Fatalf("waiter got the lock (%v) while the holder had it", err)
 		default:
 		}
-		if err := holder.Commit(nil); err != nil {
+		if err := holder.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -407,7 +332,7 @@ func TestRecycledLockStateWakesWaiter(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatalf("round %d: the waiter on a recycled lock state was never woken", round)
 		}
-		if err := waiter.Commit(nil); err != nil {
+		if err := waiter.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,7 +378,7 @@ func TestRecycledLockStateDeadlock(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatalf("round %d: the survivor was never woken after the victim aborted", round)
 		}
-		if err := a.Commit(nil); err != nil {
+		if err := a.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
