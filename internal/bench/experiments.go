@@ -33,13 +33,97 @@ func timeOp(n int, fn func(i int)) float64 {
 	return float64(time.Since(start).Nanoseconds()) / float64(n)
 }
 
+// p1Stocks is the number of reactive stocks P1 spreads its rules over.
+const p1Stocks = 100
+
+// p1Sentinel builds P1's Sentinel side: n rules spread round-robin over
+// p1Stocks stocks by subscription. It returns the database and the stock
+// P1's updates hit.
+func p1Sentinel(n int) (*core.Database, oid.OID) {
+	db := openQuiet()
+	if err := InstallMarketSchema(db); err != nil {
+		panic(err)
+	}
+	m, err := BuildMarket(db, p1Stocks, 0)
+	if err != nil {
+		panic(err)
+	}
+	if err := db.Atomically(func(t *core.Tx) error {
+		for i := 0; i < n; i++ {
+			r, err := db.CreateRule(t, core.RuleSpec{
+				Name:      fmt.Sprintf("watch-%d", i),
+				EventSrc:  "end Stock::SetPrice(float p)",
+				Condition: noCond,
+			})
+			if err != nil {
+				return err
+			}
+			if err := db.Subscribe(t, m.Stocks[i%p1Stocks], r.ID()); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	return db, m.Stocks[0]
+}
+
+// p1Adam builds P1's centralized side: the same market with n rules in one
+// ADAM-style rule base.
+func p1Adam(n int) (*core.Database, *adam.System, oid.OID) {
+	db := openQuiet()
+	if err := InstallMarketSchema(db); err != nil {
+		panic(err)
+	}
+	m, err := BuildMarket(db, p1Stocks, 0)
+	if err != nil {
+		panic(err)
+	}
+	sys := adam.New(db)
+	if err := db.Atomically(func(t *core.Tx) error { return sys.EnrollClass(t, "Stock") }); err != nil {
+		panic(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := sys.NewRule(&adam.Rule{
+			Name:         fmt.Sprintf("watch-%d", i),
+			ActiveClass:  "Stock",
+			ActiveMethod: "SetPrice",
+			When:         event.End,
+			Enabled:      true,
+			Cond:         func(rule.ExecContext, event.Occurrence) (bool, error) { return false, nil },
+		}); err != nil {
+			panic(err)
+		}
+	}
+	return db, sys, m.Stocks[0]
+}
+
+// sendPrices sends SetPrice to stock k times in one transaction and
+// returns ns/send.
+func sendPrices(db *core.Database, stock oid.OID, k int) float64 {
+	var ns float64
+	if err := db.Atomically(func(t *core.Tx) error {
+		ns = timeOp(k, func(i int) {
+			if _, err := db.Send(t, stock, "SetPrice", value.Float(float64(i))); err != nil {
+				panic(err)
+			}
+		})
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	return ns
+}
+
 // RunP1 measures the §3.5 claim: with subscriptions, "only those rules
 // which have subscribed to a reactive object are checked", versus the
 // centralized (ADAM-style) approach where every event consults the whole
 // rule base. N total rules are spread over 100 stocks; one stock's price is
 // updated repeatedly. Sentinel should stay flat in N (its cost follows
 // N/100, the subscribers of that one object); the centralized engine should
-// degrade linearly with N.
+// degrade linearly with N. TestP1CheckedRulesFollowSubscriptions counts the
+// same shape.
 func RunP1(sizes []int, eventsPer int) *Table {
 	if len(sizes) == 0 {
 		sizes = []int{10, 100, 1000, 4000}
@@ -47,88 +131,11 @@ func RunP1(sizes []int, eventsPer int) *Table {
 	tbl := NewTable("P1  Subscription vs. centralized rule checking (ns/event)",
 		"total rules N", "sentinel ns/ev", "adam ns/ev", "adam/sentinel")
 	tbl.Note = "100 reactive stocks; rules spread round-robin; updates hit one stock."
-
-	const stocks = 100
 	for _, n := range sizes {
-		// Sentinel.
-		sdb := openQuiet()
-		if err := InstallMarketSchema(sdb); err != nil {
-			panic(err)
-		}
-		sm, err := BuildMarket(sdb, stocks, 0)
-		if err != nil {
-			panic(err)
-		}
-		err = sdb.Atomically(func(t *core.Tx) error {
-			for i := 0; i < n; i++ {
-				r, err := sdb.CreateRule(t, core.RuleSpec{
-					Name:      fmt.Sprintf("watch-%d", i),
-					EventSrc:  "end Stock::SetPrice(float p)",
-					Condition: noCond,
-				})
-				if err != nil {
-					return err
-				}
-				if err := sdb.Subscribe(t, sm.Stocks[i%stocks], r.ID()); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			panic(err)
-		}
-		hot := sm.Stocks[0]
-		var sNS float64
-		if err := sdb.Atomically(func(t *core.Tx) error {
-			sNS = timeOp(eventsPer, func(i int) {
-				if _, err := sdb.Send(t, hot, "SetPrice", value.Float(float64(i))); err != nil {
-					panic(err)
-				}
-			})
-			return nil
-		}); err != nil {
-			panic(err)
-		}
-
-		// ADAM.
-		adb := openQuiet()
-		if err := InstallMarketSchema(adb); err != nil {
-			panic(err)
-		}
-		am, err := BuildMarket(adb, stocks, 0)
-		if err != nil {
-			panic(err)
-		}
-		asys := adam.New(adb)
-		if err := adb.Atomically(func(t *core.Tx) error { return asys.EnrollClass(t, "Stock") }); err != nil {
-			panic(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := asys.NewRule(&adam.Rule{
-				Name:         fmt.Sprintf("watch-%d", i),
-				ActiveClass:  "Stock",
-				ActiveMethod: "SetPrice",
-				When:         event.End,
-				Enabled:      true,
-				Cond:         func(rule.ExecContext, event.Occurrence) (bool, error) { return false, nil },
-			}); err != nil {
-				panic(err)
-			}
-		}
-		ahot := am.Stocks[0]
-		var aNS float64
-		if err := adb.Atomically(func(t *core.Tx) error {
-			aNS = timeOp(eventsPer, func(i int) {
-				if _, err := adb.Send(t, ahot, "SetPrice", value.Float(float64(i))); err != nil {
-					panic(err)
-				}
-			})
-			return nil
-		}); err != nil {
-			panic(err)
-		}
-
+		sdb, hot := p1Sentinel(n)
+		sNS := sendPrices(sdb, hot, eventsPer)
+		adb, _, ahot := p1Adam(n)
+		aNS := sendPrices(adb, ahot, eventsPer)
 		tbl.Row(n, sNS, aNS, aNS/sNS)
 	}
 	return tbl
@@ -154,12 +161,10 @@ func pointClass(name string, reactive bool, gen schema.EventGen) *schema.Class {
 	return c
 }
 
-// RunP2 measures the §3.2 claim that passive objects pay no event
-// overhead, across the escalation passive → reactive-undeclared →
-// reactive-declared-unsubscribed → 1 subscriber → 10 subscribers.
-func RunP2(sends int) *Table {
-	tbl := NewTable("P2  Method-send cost vs. reactivity (ns/send)",
-		"configuration", "ns/send", "vs passive")
+// p2Points opens P2's database — PassivePoint, QuietPoint (reactive, SetX
+// not in its event interface) and LoudPoint (reactive, SetX generates an
+// end event) — and returns it with a constructor for their instances.
+func p2Points() (*core.Database, func(class string) oid.OID) {
 	db := openQuiet()
 	for _, c := range []*schema.Class{
 		pointClass("PassivePoint", false, schema.GenNone),
@@ -181,6 +186,39 @@ func RunP2(sends int) *Table {
 		}
 		return id
 	}
+	return db, mk
+}
+
+// p2Subscribe subscribes rules from..to-1 (condition false) to a LoudPoint.
+func p2Subscribe(db *core.Database, id oid.OID, from, to int) {
+	if err := db.Atomically(func(t *core.Tx) error {
+		for i := from; i < to; i++ {
+			r, err := db.CreateRule(t, core.RuleSpec{
+				Name:      fmt.Sprintf("p2-sub-%d-%d", id, i),
+				EventSrc:  "end LoudPoint::SetX(float v)",
+				Condition: noCond,
+			})
+			if err != nil {
+				return err
+			}
+			if err := db.Subscribe(t, id, r.ID()); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+}
+
+// RunP2 measures the §3.2 claim that passive objects pay no event
+// overhead, across the escalation passive → reactive-undeclared →
+// reactive-declared-unsubscribed → 1 subscriber → 10 subscribers. Each row
+// is measured once; TestP2PassiveSendsRaiseNothing counts the same shape.
+func RunP2(sends int) *Table {
+	tbl := NewTable("P2  Method-send cost vs. reactivity (ns/send)",
+		"configuration", "ns/send", "vs passive")
+	db, mk := p2Points()
 	measure := func(id oid.OID) float64 {
 		var ns float64
 		if err := db.Atomically(func(t *core.Tx) error {
@@ -198,35 +236,16 @@ func RunP2(sends int) *Table {
 
 	passive := measure(mk("PassivePoint"))
 	tbl.Row("passive class", passive, 1.0)
-	tbl.Row("reactive class, method not in event interface", measure(mk("QuietPoint")), measure(mk("QuietPoint"))/passive)
+	quiet := measure(mk("QuietPoint"))
+	tbl.Row("reactive class, method not in event interface", quiet, quiet/passive)
 
 	loud := mk("LoudPoint")
-	tbl.Row("reactive, declared, 0 subscribers", measure(loud), measure(loud)/passive)
-
-	addSubs := func(id oid.OID, from, to int) {
-		if err := db.Atomically(func(t *core.Tx) error {
-			for i := from; i < to; i++ {
-				r, err := db.CreateRule(t, core.RuleSpec{
-					Name:      fmt.Sprintf("p2-sub-%d-%d", id, i),
-					EventSrc:  "end LoudPoint::SetX(float v)",
-					Condition: noCond,
-				})
-				if err != nil {
-					return err
-				}
-				if err := db.Subscribe(t, id, r.ID()); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			panic(err)
-		}
-	}
-	addSubs(loud, 0, 1)
+	unsubscribed := measure(loud)
+	tbl.Row("reactive, declared, 0 subscribers", unsubscribed, unsubscribed/passive)
+	p2Subscribe(db, loud, 0, 1)
 	one := measure(loud)
 	tbl.Row("reactive, declared, 1 subscriber (cond=false)", one, one/passive)
-	addSubs(loud, 1, 10)
+	p2Subscribe(db, loud, 1, 10)
 	ten := measure(loud)
 	tbl.Row("reactive, declared, 10 subscribers (cond=false)", ten, ten/passive)
 	return tbl

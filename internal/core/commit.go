@@ -165,6 +165,10 @@ func (db *Database) commitHead(t *Tx) Pending {
 	if !t.Active() {
 		return Pending{err: txn.ErrNotActive}
 	}
+	if t.snapID != 0 {
+		db.endSnapshot(t, true)
+		return Pending{}
+	}
 	p := Pending{t: t, start: time.Now()}
 	p.err = db.commit(t, &p.c)
 	return p
@@ -237,9 +241,9 @@ func (db *Database) drainDeferred(t *Tx) error {
 //	publishes: the batch's place in the log; the replication LSN; the batch, to the replicator
 func (db *Database) logCommit(t *Tx, c *commitState) error {
 	if len(t.dirty) == 0 && len(t.created) == 0 && len(t.deleted) == 0 {
-		// Read-only: nothing to log or install. A snapshot transaction read
-		// only durable commits; a 2PL one may have read a queued batch.
-		if db.log != nil && t.snapID == 0 {
+		// Read-only: nothing to log or install, but the transaction may
+		// have read a queued batch.
+		if db.log != nil {
 			c.ticket = db.log.Last()
 		}
 		return nil
@@ -412,9 +416,9 @@ func (db *Database) installCommit(t *Tx, c *commitState) {
 
 // releaseCommit ends the transaction before its batch is durable (early lock
 // release): 2PL locks, then the directory pins (undo records can no longer
-// run), then the snapshot registration. A waiter that reads the write set
-// enqueues its own batch behind this one, so it can never become durable
-// first. Detectors of tx-scoped rules the transaction fed reset here.
+// run). A waiter that reads the write set enqueues its own batch behind this
+// one, so it can never become durable first. Detectors of tx-scoped rules
+// the transaction fed reset here.
 //
 //	holds:     nothing of its own
 //	blocks on: nothing
@@ -424,7 +428,6 @@ func (db *Database) releaseCommit(t *Tx) {
 	t.resetTouched()
 	_ = t.inner.Commit() // cannot fail: Active was checked and only this goroutine ends t
 	t.releasePins()
-	t.releaseSnapshot()
 }
 
 // awaitDurable, the first stage of the tail — which may run on another

@@ -662,10 +662,11 @@ func TestSendFiringAllocs(t *testing.T) {
 
 // TestStaleTxHandles: a Tx handle outlives its transaction — callers and
 // parked Pendings keep it — while its state goes back to the pool. A
-// committed handle, an aborted one and one whose tail was parked and then
-// finished each stay inactive and refuse Send, Set, Get and NewObject with
-// txn.ErrNotActive, also after 1,000 later transactions reused the pooled
-// state; and nothing they were refused leaks into the database.
+// committed handle, an aborted one, one whose tail was parked and then
+// finished, and a committed and an aborted snapshot each stay inactive and
+// refuse Send, Set, Get and NewObject with txn.ErrNotActive, also after
+// 1,000 later transactions reused the pooled state; ending a snapshot again
+// is a no-op; and nothing they were refused leaks into the database.
 func TestStaleTxHandles(t *testing.T) {
 	db := MustOpen(Options{Dir: "db", VFS: vfs.NewMem(), SyncOnCommit: true, Output: io.Discard})
 	defer db.Close()
@@ -697,7 +698,13 @@ func TestStaleTxHandles(t *testing.T) {
 		t.Fatal("a logged commit does not report that its tail blocks")
 	}
 	p.Park()
-	stale := map[string]*Tx{"committed": committed, "aborted": aborted, "parked": parked}
+	snapCommitted, snapAborted := db.BeginSnapshot(), db.BeginSnapshot()
+	if err := db.Commit(snapCommitted); err != nil {
+		t.Fatal(err)
+	}
+	db.Abort(snapAborted)
+	stale := map[string]*Tx{"committed": committed, "aborted": aborted, "parked": parked,
+		"committed snapshot": snapCommitted, "aborted snapshot": snapAborted}
 	check := func(when string) {
 		t.Helper()
 		for name, tx := range stale {
@@ -735,6 +742,11 @@ func TestStaleTxHandles(t *testing.T) {
 		}
 	}
 	check("after 1,000 transactions")
+	db.Abort(snapCommitted)
+	db.Abort(snapAborted)
+	if n := db.snaps.activeCount(); n != 0 {
+		t.Fatalf("%d snapshots registered after their handles ended twice", n)
+	}
 	if err := db.Atomically(func(tx *Tx) error {
 		v, err := db.Get(tx, id, "x")
 		if err == nil && !v.Equal(value.Float(1009)) {

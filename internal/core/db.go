@@ -91,10 +91,13 @@ type Database struct {
 	// MVCC coordination (see mvcc.go): lsn allocates commit LSNs and
 	// tracks the stable (fully installed) prefix, snaps registers active
 	// read-only snapshots, lastSweep dedups post-commit chain sweeps by
-	// the watermark they ran at.
+	// the watermark they ran at, and rollbacks tells a snapshot index
+	// lookup whether a rollback — which moves index entries back — ran
+	// beside it (lookupAt).
 	lsn       lsnTracker
 	snaps     snapRegistry
 	lastSweep atomic.Uint64
+	rollbacks rollbackClock
 
 	// txFree is the free list of recycled transaction state (tx.go).
 	txFree chan *txState

@@ -75,20 +75,23 @@ type dirEntry struct {
 	// while it is set, snapshot readers serve from the chain head instead
 	// of obj. delLSN is the commit LSN of a committed delete: the entry is
 	// retained (tombstoned) until the watermark passes it, so older
-	// snapshots still see the object.
+	// snapshots still see the object. fresh marks a create — uncommitted,
+	// or committed above the watermark — that some snapshot may not see
+	// yet; the sweep clears it once the watermark passes lsn.
 	lsn          uint64
 	writerActive bool
 	versions     []objVersion
 	delLSN       uint64
+	fresh        bool
 }
 
 type dirShard struct {
 	mu   sync.RWMutex
 	objs map[oid.OID]*dirEntry
-	// chained tracks entries carrying MVCC baggage (a version chain or a
-	// committed delete awaiting the watermark), so prune sweeps touch only
-	// them instead of scanning the whole shard; the directory's chainedMask
-	// has this shard's bit set exactly while it is non-empty.
+	// chained tracks entries carrying MVCC baggage (see rechainLocked), so
+	// prune sweeps touch only them instead of scanning the whole shard; the
+	// directory's chainedMask has this shard's bit set exactly while it is
+	// non-empty.
 	chained map[oid.OID]bool
 	// flights holds the in-progress fault-ins of this shard's OIDs
 	// (singleflight, see joinFlight). Lazily allocated.
@@ -221,10 +224,10 @@ func (d *objDirectory) unpin(id oid.OID) {
 // insert adds a new entry (replacing any existing one, which callers avoid
 // except for crash-recovery rebuilds). pins is the initial pin count. lsn is
 // the entry's commit LSN: lsnNone for an uncommitted create (invisible to
-// snapshots until commitCreate), 0 for recovered/bootstrapped objects
-// (visible to every snapshot).
+// snapshots until commitCreate, and fresh until the watermark passes its
+// commit), 0 for recovered/bootstrapped objects (visible to every snapshot).
 func (d *objDirectory) insert(id oid.OID, o *object.Object, pins int32, dirty, noEvict bool, lsn uint64) {
-	e := &dirEntry{obj: o, dirty: dirty, noEvict: noEvict, lsn: lsn}
+	e := &dirEntry{obj: o, dirty: dirty, noEvict: noEvict, lsn: lsn, fresh: lsn == lsnNone}
 	e.pins.Store(pins)
 	e.ref.Store(true)
 	s := d.shard(id)
@@ -233,6 +236,7 @@ func (d *objDirectory) insert(id oid.OID, o *object.Object, pins int32, dirty, n
 		d.resident.Add(1)
 	}
 	s.objs[id] = e
+	d.rechainLocked(s, id, e)
 	s.mu.Unlock()
 }
 
@@ -313,12 +317,16 @@ func (d *objDirectory) setDirty(id oid.OID, dirty bool) (was bool) {
 	return was
 }
 
-// setTomb marks or unmarks an entry as an uncommitted delete.
+// setTomb marks or unmarks an entry as an uncommitted delete. A tombstoned
+// entry is chained: its committed image is still what snapshots read, and a
+// snapshot's index lookup finds the object through the chained set once the
+// delete has taken it out of the index (lookupAt).
 func (d *objDirectory) setTomb(id oid.OID, tomb bool) {
 	s := d.shard(id)
 	s.mu.Lock()
 	if e := s.objs[id]; e != nil {
 		e.tomb = tomb
+		d.rechainLocked(s, id, e)
 	}
 	s.mu.Unlock()
 }
@@ -394,9 +402,9 @@ func (d *objDirectory) forEach(fn func(id oid.OID, o *object.Object, tomb bool))
 //
 // The snapshot-read protocol: a reader acquires a snapshot LSN S from the
 // registry (S ≥ watermark by construction) and resolves each object through
-// snapshotGet. Writers archive the committed image into the chain under the
+// readAt. Writers archive the committed image into the chain under the
 // shard WRITE lock before their first in-place mutation (pushVersion), so a
-// reader that cloned obj under the shard read lock raced no mutation, and a
+// reader that read obj under the shard read lock raced no mutation, and a
 // reader that finds writerActive set serves from the immutable chain head.
 // Commit installs the new LSN (commitWrite/commitCreate/commitDelete) and
 // prunes; abort pops the pushed version after undo records restored the
@@ -428,6 +436,20 @@ func (d *objDirectory) chainLocked(s *dirShard, id oid.OID) {
 		d.setMaskBit(s.bit, true)
 	}
 	s.chained[id] = true
+}
+
+// rechainLocked puts e in or out of the chained set by whether it carries
+// MVCC baggage: a version chain, an open writer window, a committed delete
+// awaiting the watermark, an uncommitted delete, or a fresh create. An
+// entry outside the set has a live image every snapshot sees, and its
+// secondary-index entries are that image's values (lookupAt relies on
+// this). Shard mutex held.
+func (d *objDirectory) rechainLocked(s *dirShard, id oid.OID, e *dirEntry) {
+	if len(e.versions) > 0 || e.writerActive || e.delLSN != 0 || e.tomb || e.fresh {
+		d.chainLocked(s, id)
+	} else {
+		d.unchainLocked(s, id)
+	}
 }
 
 func (d *objDirectory) unchainLocked(s *dirShard, id oid.OID) {
@@ -467,9 +489,7 @@ func (d *objDirectory) popVersionLocked(s *dirShard, id oid.OID, e *dirEntry) {
 	e.versions = e.versions[:len(e.versions)-1]
 	e.writerActive = false
 	d.liveVersions.Add(-1)
-	if len(e.versions) == 0 && e.delLSN == 0 {
-		d.unchainLocked(s, id)
-	}
+	d.rechainLocked(s, id, e)
 }
 
 // pushVersion archives fields — the committed image of id, copied by the
@@ -523,9 +543,7 @@ func (d *objDirectory) commitWrite(id oid.OID, lsn, w uint64) int {
 	if n > 0 {
 		d.liveVersions.Add(int64(-n))
 	}
-	if len(e.versions) == 0 && e.delLSN == 0 {
-		d.unchainLocked(s, id)
-	}
+	d.rechainLocked(s, id, e)
 	return n
 }
 
@@ -577,10 +595,11 @@ func (d *objDirectory) applyCommitted(id oid.OID, o *object.Object, lsn, w uint6
 	s.mu.Lock()
 	e := s.objs[id]
 	if e == nil {
-		e = &dirEntry{obj: o, lsn: lsn}
+		e = &dirEntry{obj: o, lsn: lsn, fresh: true}
 		e.ref.Store(true)
 		s.objs[id] = e
 		d.resident.Add(1)
+		d.chainLocked(s, id)
 		s.mu.Unlock()
 		return
 	}
@@ -598,9 +617,7 @@ func (d *objDirectory) applyCommitted(id oid.OID, o *object.Object, lsn, w uint6
 	if n := d.pruneVersionsLocked(e, w); n > 0 {
 		d.liveVersions.Add(int64(-n))
 	}
-	if len(e.versions) == 0 && e.delLSN == 0 {
-		d.unchainLocked(s, id)
-	}
+	d.rechainLocked(s, id, e)
 	s.mu.Unlock()
 }
 
@@ -682,6 +699,9 @@ func (d *objDirectory) pruneChains(w uint64) (pruned, dropped int) {
 				d.liveVersions.Add(int64(-n))
 				pruned += n
 			}
+			if e.fresh && e.lsn <= w {
+				e.fresh = false
+			}
 			if e.delLSN != 0 && e.delLSN <= w {
 				d.liveVersions.Add(int64(-len(e.versions)))
 				pruned += len(e.versions)
@@ -691,9 +711,7 @@ func (d *objDirectory) pruneChains(w uint64) (pruned, dropped int) {
 				dropped++
 				continue
 			}
-			if len(e.versions) == 0 && e.delLSN == 0 && !e.writerActive {
-				d.unchainLocked(s, id)
-			}
+			d.rechainLocked(s, id, e)
 		}
 		s.mu.Unlock()
 	}
@@ -711,33 +729,82 @@ const (
 	snapInvisible                   // created after the snapshot
 )
 
-// snapshotGet resolves id as of snapshot LSN snap. The current image is
-// served (cloned under the shard read lock) only when no writer window is
-// open and its commit LSN is visible; otherwise the chain is walked for the
-// newest version at or below snap. snapInvisible deliberately does NOT fall
-// back to the heap: an entry exists, so the heap image (if any) belongs to a
-// state the snapshot must not observe.
-func (d *objDirectory) snapshotGet(id oid.OID, snap uint64) (*object.Object, snapStatus) {
+// snapImage is the image of an entry visible at a snapshot LSN: the live
+// object, or an archived version's class and fields. It is only valid while
+// the shard read lock that produced it is held — a writer may mutate the
+// live object in place once the lock is gone.
+type snapImage struct {
+	class  *schema.Class
+	obj    *object.Object // the live image; nil for an archived version
+	fields []value.Value  // the archived version's fields
+}
+
+// slot reads one attribute of the image.
+func (im snapImage) slot(i int) value.Value {
+	if im.obj != nil {
+		return im.obj.GetSlot(i)
+	}
+	return im.fields[i]
+}
+
+// attr reads the named attribute of the image; a is nil when its class has
+// no such attribute.
+func (im snapImage) attr(name string) (a *schema.Attribute, v value.Value) {
+	if a = im.class.AttributeNamed(name); a != nil {
+		v = im.slot(a.Slot())
+	}
+	return a, v
+}
+
+// materialize copies the image into an object of its own.
+func (im snapImage) materialize(id oid.OID) *object.Object {
+	if im.obj != nil {
+		return im.obj.Clone()
+	}
+	return object.Materialize(id, im.class, im.fields)
+}
+
+// visibleLocked resolves e as of snapshot LSN snap — the one visibility
+// rule every snapshot read goes through. The live image is served only when
+// no writer window is open and its commit LSN is visible; otherwise the
+// chain is walked for the newest version at or below snap. snapInvisible
+// deliberately does NOT fall back to the heap: an entry exists, so the heap
+// image (if any) belongs to a state the snapshot must not observe. Shard
+// mutex held.
+func (e *dirEntry) visibleLocked(snap uint64) (im snapImage, st snapStatus) {
+	if e.delLSN != 0 && e.delLSN <= snap {
+		return im, snapGone
+	}
+	if !e.writerActive && e.lsn != lsnNone && e.lsn <= snap {
+		return snapImage{class: e.obj.Class(), obj: e.obj}, snapOK
+	}
+	for _, v := range e.versions {
+		if v.lsn <= snap {
+			return snapImage{class: v.class, fields: v.fields}, snapOK
+		}
+	}
+	return im, snapInvisible
+}
+
+// readAt resolves id as of snapshot LSN snap and, when an image is visible
+// there, calls read with it under the shard read lock. read must not
+// re-enter the directory or block; it copies out what it needs.
+func (d *objDirectory) readAt(id oid.OID, snap uint64, read func(im snapImage)) snapStatus {
 	s := d.shard(id)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e := s.objs[id]
 	if e == nil {
-		return nil, snapMiss
+		return snapMiss
 	}
-	if e.delLSN != 0 && e.delLSN <= snap {
-		return nil, snapGone
-	}
-	if !e.writerActive && e.lsn != lsnNone && e.lsn <= snap {
-		e.ref.Store(true)
-		return e.obj.Clone(), snapOK
-	}
-	for _, v := range e.versions {
-		if v.lsn <= snap {
-			return object.Materialize(id, v.class, v.fields), snapOK
+	im, st := e.visibleLocked(snap)
+	if st == snapOK {
+		if im.obj != nil {
+			e.ref.Store(true)
 		}
+		read(im)
 	}
-	return nil, snapInvisible
+	return st
 }
 
 // forEachSnapshot calls fn for EVERY directory entry under the shard read
@@ -746,33 +813,44 @@ func (d *objDirectory) snapshotGet(id oid.OID, snap uint64) (*object.Object, sna
 // after it). Invisible entries are still reported so callers merging with
 // the heap catalog know the directory owns the id — a nil-class id must not
 // be resurrected from its (post-snapshot) heap image. fn must not re-enter
-// the directory or block; callers materialize objects via snapshotGet.
+// the directory or block; callers read objects via readAt.
 func (d *objDirectory) forEachSnapshot(snap uint64, fn func(id oid.OID, c *schema.Class)) {
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.RLock()
 		for id, e := range s.objs {
-			fn(id, e.visibleClassLocked(snap))
+			im, _ := e.visibleLocked(snap)
+			fn(id, im.class)
 		}
 		s.mu.RUnlock()
 	}
 }
 
-// visibleClassLocked returns the class of the version of e visible at snap
-// (nil when invisible). Shard mutex held.
-func (e *dirEntry) visibleClassLocked(snap uint64) *schema.Class {
-	if e.delLSN != 0 && e.delLSN <= snap {
-		return nil
-	}
-	if !e.writerActive && e.lsn != lsnNone && e.lsn <= snap {
-		return e.obj.Class()
-	}
-	for _, v := range e.versions {
-		if v.lsn <= snap {
-			return v.class
+// chainedAt appends to out every chained entry whose image visible at
+// snapshot LSN snap is covered by an index on class.attr and holds v there.
+// These are the objects an index probe for v can miss at snap: the index
+// holds live values, and an object whose value moved away from v after snap
+// carries a version, a delete or a tombstone until the watermark passes it.
+func (d *objDirectory) chainedAt(snap uint64, class, attr string, v value.Value, out []oid.OID) []oid.OID {
+	for m := d.chainedMask.Load(); m != 0; m &= m - 1 {
+		s := &d.shards[bits.TrailingZeros64(m)]
+		s.mu.RLock()
+		for id := range s.chained {
+			e := s.objs[id]
+			if e == nil {
+				continue
+			}
+			im, st := e.visibleLocked(snap)
+			if st != snapOK || !covers(im.class, class) {
+				continue
+			}
+			if a, got := im.attr(attr); a != nil && got.Equal(v) {
+				out = append(out, id)
+			}
 		}
+		s.mu.RUnlock()
 	}
-	return nil
+	return out
 }
 
 // maxChainDepth reports the longest version chain currently live (the
@@ -802,7 +880,8 @@ func (d *objDirectory) maxChainDepth() int {
 // w is the MVCC watermark (min of the oldest active snapshot and the stable
 // LSN). An entry is only evictable when its whole MVCC history collapses to
 // the heap image: no version chain, no pending delete, no active writer,
-// and a commit LSN at or below w — an entry whose current image postdates an
+// no fresh create the sweep has not yet cleared (it stays chained), and a
+// commit LSN at or below w — an entry whose current image postdates an
 // active snapshot must stay resident, because a fault-in would serve that
 // too-new image to the older snapshot (lsnNone sorts above every w, wiring
 // uncommitted creates automatically).
@@ -820,7 +899,7 @@ func (d *objDirectory) evictDownTo(target int64, w uint64) []oid.OID {
 			if e.tomb || e.noEvict || e.dirty || e.pins.Load() != 0 {
 				continue
 			}
-			if e.writerActive || len(e.versions) > 0 || e.delLSN != 0 || e.lsn > w {
+			if e.writerActive || len(e.versions) > 0 || e.delLSN != 0 || e.fresh || e.lsn > w {
 				continue // MVCC-protected (see above)
 			}
 			if e.ref.Swap(false) {

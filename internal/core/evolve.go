@@ -31,8 +31,8 @@ import (
 // reopen; Go-defined classes pass "" and must register the new version in
 // Options.Schema instead.
 func (db *Database) EvolveClass(t *Tx, newCls *schema.Class, dslSource string) error {
-	if !t.Active() {
-		return txn.ErrNotActive
+	if err := t.writable(); err != nil {
+		return err
 	}
 	name := newCls.Name
 	if IsSystemClass(name) {

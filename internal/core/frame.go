@@ -108,6 +108,9 @@ func (f *frame) New(class string, inits map[string]value.Value) (oid.OID, error)
 // Raise signals an explicit application event from the receiver (§3.1
 // fn. 3). Only valid inside method bodies of reactive classes.
 func (f *frame) Raise(eventName string, params ...value.Value) error {
+	if err := f.tx.writable(); err != nil {
+		return err
+	}
 	if f.self == nil {
 		return fmt.Errorf("core: raise outside an object context")
 	}

@@ -2,11 +2,16 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"sentinel/internal/index"
 	"sentinel/internal/object"
 	"sentinel/internal/oid"
+	"sentinel/internal/schema"
+	"sentinel/internal/txn"
 	"sentinel/internal/value"
 )
 
@@ -189,27 +194,44 @@ func (db *Database) reindex(id oid.OID, prev, o *object.Object) (touched bool) {
 
 // indexedValue returns o's value of h's attribute when h covers o.
 func indexedValue(o *object.Object, h *index.Hash) (value.Value, bool) {
-	if o == nil {
+	if o == nil || !covers(o.Class(), h.Class()) {
 		return value.Nil, false
 	}
-	for _, k := range o.Class().MRO() {
-		if k.Name == h.Class() {
-			if a := o.Class().AttributeNamed(h.Attr()); a != nil {
-				return o.GetSlot(a.Slot()), true
-			}
-			break
-		}
+	if a := o.Class().AttributeNamed(h.Attr()); a != nil {
+		return o.GetSlot(a.Slot()), true
 	}
 	return value.Nil, false
+}
+
+// covers reports whether an index declared on the class named class covers
+// instances of c: by name, so an instance keeps its index entries across an
+// evolve, which replaces the class object but not its name.
+func covers(c *schema.Class, class string) bool {
+	for _, k := range c.MRO() {
+		if k.Name == class {
+			return true
+		}
+	}
+	return false
 }
 
 // LookupByAttr returns the OIDs of instances of class (or subclasses) whose
 // attribute equals v. It uses the index on (class, attr) when present and
 // otherwise scans, so it is always correct and opportunistically fast. The
-// second result reports whether an index served the query.
+// second result reports whether an index served the query. A snapshot
+// answers at its LSN (lookupAt); a 2PL transaction reads the index as it
+// stands, other transactions' uncommitted moves included.
 func (db *Database) LookupByAttr(t *Tx, class, attr string, v value.Value) ([]oid.OID, bool, error) {
+	if t.snapID != 0 && !t.Active() {
+		return nil, false, txn.ErrNotActive
+	}
 	if h := db.Index(class, attr); h != nil {
-		return h.Lookup(v), true, nil
+		if t.snapID == 0 {
+			return h.Lookup(v), true, nil
+		}
+		if ids, ok := db.lookupAt(t.snapLSN, h, v); ok {
+			return ids, true, nil
+		}
 	}
 	cls := db.reg.Lookup(class)
 	if cls == nil {
@@ -219,7 +241,7 @@ func (db *Database) LookupByAttr(t *Tx, class, attr string, v value.Value) ([]oi
 		return nil, false, fmt.Errorf("core: class %s has no attribute %q", class, attr)
 	}
 	var out []oid.OID
-	for _, id := range db.InstancesOf(class) {
+	for _, id := range db.InstancesOfAt(t, class) {
 		got, err := db.getAttr(t, id, attr, nil, true)
 		if err != nil {
 			return nil, false, err
@@ -229,6 +251,91 @@ func (db *Database) LookupByAttr(t *Tx, class, attr string, v value.Value) ([]oi
 		}
 	}
 	return out, false, nil
+}
+
+// lookupAttempts bounds lookupAt's retries before LookupByAttr answers a
+// snapshot with a scan instead.
+const lookupAttempts = 3
+
+// rollbackClock counts the rollbacks begun and ended. Only a rollback moves
+// an index entry back to a value an earlier state held, so a reader of the
+// live indexes that saw no rollback in progress when it started and none
+// begun by the time it finished raced none.
+type rollbackClock struct{ begun, ended atomic.Uint64 }
+
+func (c *rollbackClock) begin() { c.begun.Add(1) }
+func (c *rollbackClock) end()   { c.ended.Add(1) }
+
+// quiet returns the begun count, and whether no rollback is in progress.
+func (c *rollbackClock) quiet() (mark uint64, ok bool) {
+	e := c.ended.Load()
+	mark = c.begun.Load()
+	return mark, mark == e
+}
+
+// since reports whether a rollback began after quiet returned mark.
+func (c *rollbackClock) since(mark uint64) bool { return c.begun.Load() != mark }
+
+// lookupAt answers an index lookup as of snapshot LSN s without faulting
+// any candidate in. The index holds live values — later commits' and
+// in-flight writes' included — so the probe is corrected in two steps:
+//
+//   - a candidate whose entry may differ from s — it is chained: written,
+//     created, deleted or being deleted since the watermark last passed it
+//     (objDirectory.rechainLocked) — is re-read in place at s and kept only
+//     if its value there is v. Any other candidate is kept as it stands: a
+//     resident one is clean at an LSN ≤ the watermark, and the evictor only
+//     drops such entries, so its index entry is its value at s. A shard
+//     whose chainedMask bit is clear holds no chained entry; the mask is
+//     read after the probe, and a writer chains its entry before it moves
+//     the index, so an index move the probe saw has its bit set.
+//   - every chained entry whose value at s is v is added: those are the
+//     objects that moved away from v after s.
+//
+// A rollback undoing an index move beside the probe and the checks could
+// make either step wrong (an undone create's candidate gone from the
+// directory, a popped version gone from the chained set), so an attempt
+// that overlapped one (Database.rollbacks) is retried; after lookupAttempts
+// the caller scans.
+func (db *Database) lookupAt(s uint64, h *index.Hash, v value.Value) ([]oid.OID, bool) {
+	attr := h.Attr()
+	for try := 0; try < lookupAttempts; try++ {
+		mark, quiet := db.rollbacks.quiet()
+		if !quiet {
+			runtime.Gosched()
+			continue
+		}
+		cands := h.Lookup(v)
+		mask := db.dir.chainedMask.Load()
+		out := cands[:0]
+		for _, id := range cands {
+			if mask&db.dir.shard(id).bit == 0 {
+				out = append(out, id)
+				continue
+			}
+			match := false
+			switch db.dir.readAt(id, s, func(im snapImage) {
+				a, got := im.attr(attr)
+				match = a != nil && got.Equal(v)
+			}) {
+			case snapMiss:
+				out = append(out, id)
+			case snapOK:
+				if match {
+					out = append(out, id)
+				}
+			}
+		}
+		n := len(out)
+		if out = db.dir.chainedAt(s, h.Class(), attr, v, out); len(out) > n {
+			value.SortRefs(out)
+			out = slices.Compact(out)
+		}
+		if !db.rollbacks.since(mark) {
+			return out, true
+		}
+	}
+	return nil, false
 }
 
 // Indexes returns all live indexes, sorted by class then attribute.

@@ -42,9 +42,11 @@ type coreMetrics struct {
 	// flushes, groupedCommits the commits they carried (their ratio is the
 	// commits-per-fsync batching factor); commitGroupH records the size
 	// distribution (the observed "duration" is the group size, not a time).
-	// versionPrunes counts archived versions reclaimed by the watermark.
-	commitGroups, groupedCommits, versionPrunes *obs.Counter
-	commitGroupH                                *obs.Histogram
+	// versionPrunes counts archived versions reclaimed by the watermark,
+	// snapshots the read-only snapshots begun (they are not lock-manager
+	// transactions, so the txns_* series do not count them).
+	commitGroups, groupedCommits, versionPrunes, snapshots *obs.Counter
+	commitGroupH                                           *obs.Histogram
 
 	// Detached executor pool counters. detachedWorkerFirings has one
 	// counter per pool worker (registered only with AsyncDetached, when
@@ -108,6 +110,7 @@ func newCoreMetrics(db *Database, opts Options) *coreMetrics {
 		commitGroups:   reg.Counter("sentinel_commit_groups_total", "group-commit flushes (one write + at most one fsync each)"),
 		groupedCommits: reg.Counter("sentinel_grouped_commits_total", "commits carried by group-commit flushes"),
 		versionPrunes:  reg.Counter("sentinel_version_prunes_total", "archived MVCC versions reclaimed by the watermark"),
+		snapshots:      reg.Counter("sentinel_snapshots_total", "read-only snapshots begun"),
 
 		detachedFirings:      reg.Counter("sentinel_detached_firings_total", "detached firings executed by the worker pool"),
 		detachedStalls:       reg.Counter("sentinel_detached_conflict_stalls_total", "detached firings enqueued behind a conflicting predecessor"),

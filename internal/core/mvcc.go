@@ -22,8 +22,10 @@ import (
 	"sync"
 
 	"sentinel/internal/object"
+	"sentinel/internal/obs"
 	"sentinel/internal/oid"
 	"sentinel/internal/schema"
+	"sentinel/internal/txn"
 	"sentinel/internal/value"
 )
 
@@ -173,16 +175,21 @@ func (db *Database) maybeSweepChains() {
 var errReadOnlyTx = fmt.Errorf("core: snapshot transaction is read-only")
 
 // BeginSnapshot starts a read-only transaction that reads a consistent
-// snapshot of the database as of the current stable commit LSN. Snapshot
-// transactions take no object locks and never block (or abort) writers:
-// reads resolve through the directory's version chains. All mutation entry
-// points reject the transaction. Finish it with Commit or Abort (they are
+// snapshot of the database as of the current stable commit LSN. A snapshot
+// is a registration and a transaction ID, nothing more: it takes no object
+// locks — so it never blocks (or aborts) writers, and the lock manager and
+// its deadlock detector never see it — and it carries no write set. Reads
+// resolve through the directory's version chains, attributes in place. All
+// mutation entry points reject it. Finish it with Commit or Abort (they are
 // equivalent — there is nothing to roll back) to release the snapshot so
 // the watermark can advance and chains can be pruned.
 func (db *Database) BeginSnapshot() *Tx {
-	t := db.Begin()
+	t := &Tx{db: db, inner: db.tm.ReadOnly()}
 	t.snapID, t.snapLSN = db.snaps.acquire(&db.lsn)
-	t.snapReads = make(map[oid.OID]*object.Object)
+	db.met.snapshots.Inc()
+	if tr := db.tracer.Load(); tr != nil && tr.TxBegin != nil {
+		tr.TxBegin(obs.TxInfo{Tx: uint64(t.inner.ID())})
+	}
 	return t
 }
 
@@ -190,66 +197,103 @@ func (db *Database) BeginSnapshot() *Tx {
 // which commit LSN it reads.
 func (t *Tx) Snapshot() (lsn uint64, ok bool) { return t.snapLSN, t.snapID != 0 }
 
-// releaseSnapshot deregisters the transaction's snapshot (no-op for
-// ordinary transactions); called from every Commit/Abort epilogue.
-func (t *Tx) releaseSnapshot() {
+// writable rejects a finished transaction with txn.ErrNotActive and a
+// snapshot with errReadOnlyTx: the check every mutation entry point makes
+// before it touches the transaction's state, which a snapshot has none of.
+func (t *Tx) writable() error {
+	if !t.Active() {
+		return txn.ErrNotActive
+	}
 	if t.snapID != 0 {
-		t.db.snaps.release(t.snapID)
-		t.snapID = 0
-		t.snapReads = nil
+		return errReadOnlyTx
+	}
+	return nil
+}
+
+// endSnapshot is Commit and Abort of a snapshot: it releases the
+// registration and marks the handle finished. The tracer sees the end under
+// the snapshot's ID, as a commit or an abort, as the caller asked.
+func (db *Database) endSnapshot(t *Tx, commit bool) {
+	if t.finished {
+		return
+	}
+	t.finished = true
+	db.snaps.release(t.snapID)
+	tr := db.tracer.Load()
+	switch {
+	case tr == nil:
+	case commit && tr.TxCommit != nil:
+		tr.TxCommit(obs.TxInfo{Tx: uint64(t.inner.ID())})
+	case !commit && tr.TxAbort != nil:
+		tr.TxAbort(obs.TxInfo{Tx: uint64(t.inner.ID())})
 	}
 }
 
-// snapshotObject resolves id inside a snapshot transaction, caching the
-// materialized object so repeated reads return the same instance. Missing,
-// deleted-at-snapshot and created-after-snapshot objects all report the
-// same "no object" error ordinary reads produce.
-func (db *Database) snapshotObject(t *Tx, id oid.OID) (*object.Object, error) {
-	if o, ok := t.snapReads[id]; ok {
-		if o == nil {
-			return nil, fmt.Errorf("core: no object %s", id)
+// readSnapshot resolves id as of snapshot LSN s and calls read with the
+// image visible there (see objDirectory.readAt), reporting whether one is.
+// A directory miss falls through to the heap: the eviction watermark guard
+// guarantees any evicted entry's heap image is at an LSN ≤ every active
+// snapshot, so the image is visible at s. The object is faulted in resident
+// first (so a chain can anchor on it if a writer arrives) and re-read
+// through the snapshot protocol; if it was evicted again in between, a
+// transient decode serves the read.
+func (db *Database) readSnapshot(id oid.OID, s uint64, read func(im snapImage)) (bool, error) {
+	st := db.dir.readAt(id, s, read)
+	if st == snapMiss && db.store != nil {
+		if _, err := db.faultObject(id); err != nil {
+			return false, err
 		}
-		return o, nil
+		if st = db.dir.readAt(id, s, read); st == snapMiss {
+			o, err := db.loadFromHeap(id, false)
+			if err != nil || o == nil {
+				return false, err
+			}
+			read(snapImage{class: o.Class(), obj: o})
+			return true, nil
+		}
 	}
-	o, err := db.resolveSnapshot(id, t.snapLSN)
-	if err != nil {
-		return nil, err
-	}
-	t.snapReads[id] = o
-	if o == nil {
-		return nil, fmt.Errorf("core: no object %s", id)
-	}
-	return o, nil
+	return st == snapOK, nil
 }
 
 // resolveSnapshot materializes the version of id visible at snapshot LSN s
-// (nil when none is). A directory miss falls through to the heap: the
-// eviction watermark guard guarantees any evicted entry's heap image is at
-// an LSN ≤ every active snapshot, so the image is visible at s. The object
-// is faulted in resident first (so a chain can anchor on it if a writer
-// arrives) and re-read through the snapshot protocol; if it was evicted
-// again in between, a transient decode serves the read.
+// (nil when none is): for the paths that hand out an object — a
+// snapshot-evaluated condition's self, DescribeObject.
 func (db *Database) resolveSnapshot(id oid.OID, s uint64) (*object.Object, error) {
-	o, st := db.dir.snapshotGet(id, s)
-	switch st {
-	case snapOK:
-		return o, nil
-	case snapGone, snapInvisible:
-		return nil, nil
+	var o *object.Object
+	_, err := db.readSnapshot(id, s, func(im snapImage) { o = im.materialize(id) })
+	return o, err
+}
+
+// snapshotAttr is getAttr for a snapshot: it reads the one attribute where
+// it lies — the live image's slot or the visible version's field — under
+// the shard read lock, with getAttr's checks and errors. Repeated reads
+// agree without a per-snapshot cache: the watermark keeps the version the
+// snapshot reads, and the evictor keeps anything newer resident.
+func (db *Database) snapshotAttr(t *Tx, id oid.OID, attr string, caller *schema.Class, sysAccess bool) (value.Value, error) {
+	if !t.Active() {
+		return value.Nil, txn.ErrNotActive
 	}
-	if db.store == nil {
-		return nil, nil
+	var (
+		c *schema.Class
+		a *schema.Attribute
+		v value.Value
+	)
+	found, err := db.readSnapshot(id, t.snapLSN, func(im snapImage) {
+		c = im.class
+		a, v = im.attr(attr)
+	})
+	switch {
+	case err != nil:
+		return value.Nil, err
+	case !found:
+		return value.Nil, fmt.Errorf("core: no object %s", id)
+	case a == nil:
+		return value.Nil, fmt.Errorf("core: class %s has no attribute %q", c.Name, attr)
 	}
-	if _, err := db.faultObject(id); err != nil {
-		return nil, err
+	if err := checkAttrVisible(a, caller, sysAccess); err != nil {
+		return value.Nil, err
 	}
-	if o, st := db.dir.snapshotGet(id, s); st != snapMiss {
-		if st == snapOK {
-			return o, nil
-		}
-		return nil, nil
-	}
-	return db.loadFromHeap(id, false)
+	return v, nil
 }
 
 // ---- snapshot scans ----
@@ -283,13 +327,14 @@ func (db *Database) InstancesOfAt(t *Tx, class string) []oid.OID {
 			if !subs[ho.Class] || present[ho.ID] {
 				continue
 			}
-			switch o, st := db.dir.snapshotGet(ho.ID, s); st {
+			var vc *schema.Class
+			switch db.dir.readAt(ho.ID, s, func(im snapImage) { vc = im.class }) {
 			case snapMiss:
 				// Truly heap-only: committed at or below the watermark,
 				// hence visible at s.
 				out = append(out, ho.ID)
 			case snapOK:
-				if o.Class().IsSubclassOf(c) {
+				if vc.IsSubclassOf(c) {
 					out = append(out, ho.ID)
 				}
 			}
@@ -359,7 +404,7 @@ func (db *Database) CheckRefsAt(t *Tx) []string {
 			if visible[o.ID] {
 				continue
 			}
-			if _, st := db.dir.snapshotGet(o.ID, t.snapLSN); st == snapMiss {
+			if db.dir.readAt(o.ID, t.snapLSN, func(snapImage) {}) == snapMiss {
 				visible[o.ID] = true
 			}
 		}

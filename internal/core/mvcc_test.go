@@ -10,7 +10,6 @@ package core
 // alongside the public BeginSnapshot surface.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -80,44 +79,6 @@ func TestSnapshotIsolationBasic(t *testing.T) {
 	}
 	if n := db.snaps.activeCount(); n != 0 {
 		t.Fatalf("%d snapshots still registered after release", n)
-	}
-}
-
-// TestSnapshotReadOnly verifies every mutation entry point rejects a
-// snapshot transaction with the typed read-only error.
-func TestSnapshotReadOnly(t *testing.T) {
-	db := MustOpen(Options{Output: io.Discard})
-	defer db.Close()
-	ids := hotPathClass(t, db, 1)
-	setX(t, db, ids[0], 1)
-
-	snap := db.BeginSnapshot()
-	defer db.Abort(snap)
-
-	if _, err := db.NewObject(snap, "P", nil); !errors.Is(err, errReadOnlyTx) {
-		t.Fatalf("NewObject on snapshot: err = %v, want errReadOnlyTx", err)
-	}
-	if err := db.Set(snap, ids[0], "x", value.Float(9)); !errors.Is(err, errReadOnlyTx) {
-		t.Fatalf("Set on snapshot: err = %v, want errReadOnlyTx", err)
-	}
-	if err := db.DeleteObject(snap, ids[0]); !errors.Is(err, errReadOnlyTx) {
-		t.Fatalf("DeleteObject on snapshot: err = %v, want errReadOnlyTx", err)
-	}
-	// Send takes an exclusive lock up front, so it is rejected too.
-	if _, err := db.Send(snap, ids[0], "Set", value.Float(9)); !errors.Is(err, errReadOnlyTx) {
-		t.Fatalf("Send on snapshot: err = %v, want errReadOnlyTx", err)
-	}
-	// The rejections must not have leaked state into the database.
-	var x value.Value
-	if err := db.Atomically(func(tx *Tx) error {
-		var err error
-		x, err = db.Get(tx, ids[0], "x")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if x.MustFloat() != 1 {
-		t.Fatalf("x = %v after rejected snapshot writes, want 1", x)
 	}
 }
 

@@ -177,6 +177,10 @@ func (db *Database) buildDSLClass(d *lang.ClassDecl) (*schema.Class, error) {
 // stores the definition source as a __ClassDef object, which reopening the
 // database (and a replica) load through loadClassDef.
 func (db *Database) registerDSLClass(t *Tx, d *lang.ClassDecl) error {
+	// Registration is not undone, so check before it what NewObject would.
+	if err := t.writable(); err != nil {
+		return err
+	}
 	c, err := db.buildDSLClass(d)
 	if err != nil {
 		return err

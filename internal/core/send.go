@@ -292,7 +292,6 @@ func (db *Database) runFiringWith(t, condTx *Tx, f *rule.Firing, depth int) erro
 			if serr != nil {
 				return serr
 			}
-			condTx.snapReads[f.Detection.Last().Source] = so
 			fr.tx, fr.self = condTx, so
 		}
 		m.conditionsRun.Inc()

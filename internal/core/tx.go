@@ -38,8 +38,10 @@ func IsAbort(err error) bool {
 // The handle is never recycled — callers and parked Pendings keep it after
 // the transaction ends — but its *txState is: Begin takes one from
 // Database.txFree, and the very end of Abort or Pending.Finish empties it and
-// puts it back. A finished Tx has a nil state; every entry point checks
-// Active, which reads only the handle, before it touches one.
+// puts it back. A finished Tx has a nil state, and a snapshot
+// (BeginSnapshot) never has one; every entry point checks Active, and every
+// mutation entry point writable, which read only the handle, before it
+// touches one.
 type Tx struct {
 	db    *Database
 	inner *txn.Tx
@@ -67,12 +69,10 @@ type Tx struct {
 	fromDetachedWorker bool
 
 	// Snapshot state (BeginSnapshot, mvcc.go). snapID != 0 marks a
-	// read-only snapshot transaction reading as of commit LSN snapLSN;
-	// snapReads caches materialized versions per OID so repeated reads
-	// return the same instance.
-	snapID    uint64
-	snapLSN   uint64
-	snapReads map[oid.OID]*object.Object
+	// read-only snapshot transaction — its registration ID — reading as of
+	// commit LSN snapLSN.
+	snapID  uint64
+	snapLSN uint64
 
 	finished bool
 }
@@ -164,8 +164,15 @@ type undoRec struct {
 func (t *Tx) onUndo(fn func()) { t.undo = append(t.undo, undoRec{fn: fn}) }
 
 // rollback runs the undo list in reverse: the 2PL locks are still held, and
-// each version pops only after its object's fields are restored.
+// each version pops only after its object's fields are restored. The undo
+// runs inside Database.rollbacks, so a snapshot index lookup that raced it
+// retries (lookupAt).
 func (t *Tx) rollback() {
+	if len(t.undo) == 0 {
+		return
+	}
+	t.db.rollbacks.begin()
+	defer t.db.rollbacks.end()
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		u := &t.undo[i]
 		if u.fn != nil {
@@ -270,6 +277,10 @@ func (t *Tx) Active() bool { return !t.finished && t.inner.Active() }
 
 // Abort rolls the transaction back.
 func (db *Database) Abort(t *Tx) {
+	if t.snapID != 0 {
+		db.endSnapshot(t, false)
+		return
+	}
 	if t.finished {
 		return
 	}
@@ -282,7 +293,6 @@ func (db *Database) Abort(t *Tx) {
 	t.rollback()
 	t.inner.Abort()
 	t.releasePins()
-	t.releaseSnapshot()
 	if tr := db.tracer.Load(); tr != nil && tr.TxAbort != nil {
 		tr.TxAbort(obs.TxInfo{Tx: uint64(t.inner.ID())})
 	}
@@ -347,11 +357,8 @@ func (db *Database) atomicallyPending(fn func(*Tx) error) Pending {
 // a C++ constructor's member-init list) and returns its OID. Creation does
 // not raise events; the paper's events come from message sends.
 func (db *Database) NewObject(t *Tx, class string, inits map[string]value.Value) (oid.OID, error) {
-	if !t.Active() {
-		return oid.Nil, txn.ErrNotActive
-	}
-	if t.snapID != 0 {
-		return oid.Nil, errReadOnlyTx
+	if err := t.writable(); err != nil {
+		return oid.Nil, err
 	}
 	if db.replicaWriteBlocked() {
 		return oid.Nil, ErrReplicaWrite
@@ -409,7 +416,11 @@ func (db *Database) lockObject(t *Tx, id oid.OID, mode txn.Mode) (*object.Object
 		if mode == txn.Exclusive {
 			return nil, errReadOnlyTx
 		}
-		return db.snapshotObject(t, id)
+		o, err := db.resolveSnapshot(id, t.snapLSN)
+		if err == nil && o == nil {
+			err = fmt.Errorf("core: no object %s", id)
+		}
+		return o, err
 	}
 	if mode == txn.Exclusive && db.replicaWriteBlocked() {
 		return nil, ErrReplicaWrite
@@ -475,7 +486,7 @@ func (db *Database) lockPinned(t *Tx, id oid.OID) (*object.Object, error) {
 //
 // It also opens the entry's MVCC writer window: pushVersion archives the
 // committed image into the version chain under the shard write lock BEFORE
-// the caller's first in-place mutation, so snapshot readers either cloned
+// the caller's first in-place mutation, so snapshot readers either read
 // the object while it was still clean or serve the immutable chain head.
 // The one copy of the image is both the undo record's before-image and the
 // archived version; neither is ever written. On abort the version pops
@@ -539,8 +550,12 @@ func checkMethodVisible(m *schema.Method, caller *schema.Class, sysAccess bool) 
 	return fmt.Errorf("core: method %s is %s (caller %s)", m.Signature(), m.Visibility, caller.Name)
 }
 
-// getAttr reads an attribute with visibility checking.
+// getAttr reads an attribute with visibility checking; a snapshot reads it
+// in place (snapshotAttr).
 func (db *Database) getAttr(t *Tx, id oid.OID, attr string, caller *schema.Class, sysAccess bool) (value.Value, error) {
+	if t.snapID != 0 {
+		return db.snapshotAttr(t, id, attr, caller, sysAccess)
+	}
 	o, err := db.lockObject(t, id, txn.Shared)
 	if err != nil {
 		return value.Nil, err
@@ -597,11 +612,14 @@ func (db *Database) DeleteObject(t *Tx, id oid.OID) error {
 	if err != nil {
 		return err
 	}
-	db.indexObjectRemove(t, o)
 	// Tombstone, don't remove: the entry keeps the object for the undo
 	// closure and blocks fault-in from resurrecting the stale heap image
-	// while the delete is uncommitted. Commit sweeps tombstones away.
+	// while the delete is uncommitted. Commit sweeps tombstones away. The
+	// tombstone (which chains the entry) comes before the index removal, so
+	// a snapshot lookup that misses the object in the index finds it in the
+	// chained set.
 	db.dir.setTomb(id, true)
+	db.indexObjectRemove(t, o)
 	db.mu.Lock()
 	savedSubs := db.subs[id]
 	delete(db.subs, id)

@@ -77,10 +77,8 @@ const scopeIndexAt = 16
 // Scope holds locals and event parameters as one flat stack of bindings,
 // innermost last. A block (`if`/`else` body, `while` body, each `for`
 // iteration) is not a scope of its own but a mark on this stack: it opens
-// at the top and pops back to it when it ends. The zero Scope is an empty
-// root.
+// at the top and pops back to it when it ends. The zero Scope is empty.
 type Scope struct {
-	parent *Scope
 	inline [scopeInline]binding
 	spill  []binding      // bindings past the inline ones
 	index  map[string]int // innermost binding of each name; nil until n first reaches scopeIndexAt
@@ -88,8 +86,8 @@ type Scope struct {
 	base   int            // first binding of the innermost open block
 }
 
-// NewScope returns a scope with the given parent (nil for the root).
-func NewScope(parent *Scope) *Scope { return &Scope{parent: parent} }
+// NewScope returns an empty scope.
+func NewScope() *Scope { return &Scope{} }
 
 func (s *Scope) at(i int) *binding {
 	if i < scopeInline {
@@ -146,23 +144,19 @@ func (s *Scope) Define(name string, v value.Value) {
 	}
 }
 
-// Lookup resolves a name innermost-first, then through the parent chain.
+// Lookup resolves a name innermost-first.
 func (s *Scope) Lookup(name string) (value.Value, bool) {
-	for sc := s; sc != nil; sc = sc.parent {
-		if b := sc.find(name, 0); b != nil {
-			return b.v, true
-		}
+	if b := s.find(name, 0); b != nil {
+		return b.v, true
 	}
 	return value.Nil, false
 }
 
-// assign overwrites the nearest existing binding; ok=false if none exists.
+// assign overwrites the innermost existing binding; ok=false if none exists.
 func (s *Scope) assign(name string, v value.Value) bool {
-	for sc := s; sc != nil; sc = sc.parent {
-		if b := sc.find(name, 0); b != nil {
-			b.v = v
-			return true
-		}
+	if b := s.find(name, 0); b != nil {
+		b.v = v
+		return true
 	}
 	return false
 }
@@ -212,7 +206,7 @@ type Interp struct {
 // NewInterp returns an interpreter frame.
 func NewInterp(env Env, self oid.OID, scope *Scope) *Interp {
 	if scope == nil {
-		scope = NewScope(nil)
+		scope = NewScope()
 	}
 	return &Interp{Env: env, Self: self, Scope: scope}
 }

@@ -205,7 +205,7 @@ func TestIdentResolutionOrder(t *testing.T) {
 	env.names["obj"] = other
 	env.selfID = self
 
-	scope := NewScope(nil)
+	scope := NewScope()
 	scope.Define("local", value.Int(1))
 	in := NewInterp(env, self, scope)
 
@@ -420,23 +420,32 @@ func TestAbortAndRaise(t *testing.T) {
 	}
 }
 
+// TestScopeShadowing: a binding in an inner block shadows the outer one
+// until the block closes; assign updates the innermost binding only, so
+// the outer value is intact once the block is gone.
 func TestScopeShadowing(t *testing.T) {
-	outer := NewScope(nil)
-	outer.Define("x", value.Int(1))
-	inner := NewScope(outer)
-	inner.Define("x", value.Int(2))
-	if v, _ := inner.Lookup("x"); !v.Equal(value.Int(2)) {
+	s := NewScope()
+	s.Define("x", value.Int(1))
+	outer := s.open()
+	s.Define("x", value.Int(2))
+	if v, _ := s.Lookup("x"); !v.Equal(value.Int(2)) {
 		t.Fatal("inner lookup wrong")
 	}
-	if v, _ := outer.Lookup("x"); !v.Equal(value.Int(1)) {
-		t.Fatal("outer polluted")
-	}
-	// assign through the chain updates the nearest definition.
-	if !inner.assign("x", value.Int(3)) {
+	if !s.assign("x", value.Int(3)) {
 		t.Fatal("assign failed")
 	}
-	if v, _ := outer.Lookup("x"); !v.Equal(value.Int(1)) {
-		t.Fatal("assign updated the wrong scope")
+	if v, _ := s.Lookup("x"); !v.Equal(value.Int(3)) {
+		t.Fatal("assign missed the inner binding")
+	}
+	s.close(outer)
+	if v, _ := s.Lookup("x"); !v.Equal(value.Int(1)) {
+		t.Fatalf("outer x = %v after the block, want 1 (assign updated the wrong binding)", v)
+	}
+	if !s.assign("x", value.Int(4)) {
+		t.Fatal("assign after the block failed")
+	}
+	if v, _ := s.Lookup("x"); !v.Equal(value.Int(4)) {
+		t.Fatal("assign after the block missed the outer binding")
 	}
 }
 

@@ -141,7 +141,7 @@ func TestScopeSpill(t *testing.T) {
 	}
 
 	// The Scope API spills the same way.
-	s := NewScope(nil)
+	s := NewScope()
 	for i := 0; i < 3*scopeInline; i++ {
 		s.Define("v"+strconv.Itoa(i), value.Int(int64(i)))
 	}
@@ -224,7 +224,7 @@ func TestScopeIndexed(t *testing.T) {
 
 	// A scope that reaches scopeIndexAt inside a block indexes the
 	// shadowed bindings too, and falls back to them when the block pops.
-	s := NewScope(nil)
+	s := NewScope()
 	s.Define("a", value.Int(1))
 	outer := s.open()
 	for i := 0; i < scopeIndexAt; i++ {

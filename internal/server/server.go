@@ -38,7 +38,9 @@
 // rule — has no transactional claim on the commit.
 //
 // Reads (OpGet, OpInstances) ride MVCC snapshots (Database.BeginSnapshot):
-// they take no locks and never contend with other sessions' committers.
+// a snapshot is a registration and a transaction ID, not a lock-manager
+// transaction, and a GET reads its one attribute in place, so reads take
+// no locks and never contend with other sessions' committers.
 package server
 
 import (

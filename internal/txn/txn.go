@@ -128,6 +128,19 @@ func (m *Manager) Begin() *Tx {
 	return t
 }
 
+// ReadOnly returns a transaction that takes the next ID from the sequence
+// Begin draws from but never locks: it is not in the active table, has no
+// held-lock map and is never counted as started, committed or aborted, so
+// the deadlock detector cannot see it. Lock on it fails with ErrNotActive;
+// the caller ends it by dropping it, never with Commit or Abort.
+func (m *Manager) ReadOnly() *Tx {
+	m.mu.Lock()
+	m.nextID++
+	id := m.nextID
+	m.mu.Unlock()
+	return &Tx{id: id, mgr: m, state: Active}
+}
+
 // ActiveCount returns the number of live transactions.
 func (m *Manager) ActiveCount() int {
 	m.mu.Lock()
@@ -159,7 +172,7 @@ func (t *Tx) Lock(res Lockable, mode Mode) error {
 	m := t.mgr
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if t.state != Active {
+	if t.state != Active || t.held == nil {
 		return ErrNotActive
 	}
 	if cur, ok := t.held[res]; ok && (cur == Exclusive || mode == Shared) {
@@ -292,7 +305,7 @@ func (m *Manager) releaseAllLocked(t *Tx) {
 			}
 		}
 	}
-	if len(t.held) <= maxFree && len(m.freeHeld) < maxFree {
+	if t.held != nil && len(t.held) <= maxFree && len(m.freeHeld) < maxFree {
 		clear(t.held)
 		m.freeHeld = append(m.freeHeld, t.held)
 	}

@@ -386,3 +386,37 @@ func TestRecycledLockStateDeadlock(t *testing.T) {
 		t.Fatalf("Deadlocks = %d, want 20", st.Deadlocks)
 	}
 }
+
+// TestReadOnly: a read-only transaction draws its ID from the same sequence
+// as Begin, never enters the active table or the counters, refuses every
+// lock, and — should a caller end it anyway — leaves no nil held map on the
+// free list for the next Begin to inherit.
+func TestReadOnly(t *testing.T) {
+	m := NewManager()
+	a := m.Begin()
+	ro := m.ReadOnly()
+	b := m.Begin()
+	if !(a.ID() < ro.ID() && ro.ID() < b.ID()) {
+		t.Fatalf("IDs %d, %d, %d are not one increasing sequence", a.ID(), ro.ID(), b.ID())
+	}
+	if !ro.Active() {
+		t.Fatal("a fresh read-only transaction is not active")
+	}
+	if n := m.ActiveCount(); n != 2 {
+		t.Fatalf("ActiveCount = %d, want 2 (the read-only transaction is not registered)", n)
+	}
+	if err := ro.Lock(1, Shared); !errors.Is(err, ErrNotActive) {
+		t.Fatalf("Lock on a read-only transaction: %v, want ErrNotActive", err)
+	}
+	if st := m.Stats(); st.Started != 2 {
+		t.Fatalf("stats = %+v, want 2 started", st)
+	}
+	a.Abort()
+	b.Abort()
+	_ = ro.Commit()
+	c := m.Begin()
+	if err := c.Lock(1, Exclusive); err != nil {
+		t.Fatalf("a transaction begun after a read-only one ended: %v", err)
+	}
+	c.Abort()
+}
