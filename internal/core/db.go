@@ -71,7 +71,6 @@ type Database struct {
 	dslClassSeq   int
 	indexes       map[idxKey]*index.Hash
 	indexObjs     map[idxKey]oid.OID
-	indexByClass  map[string][]*index.Hash
 
 	// dir is the sharded resident-object directory (see directory.go):
 	// object lookups go through it, missing entries fault in from the
@@ -90,14 +89,11 @@ type Database struct {
 
 	// MVCC coordination (see mvcc.go): lsn allocates commit LSNs and
 	// tracks the stable (fully installed) prefix, snaps registers active
-	// read-only snapshots, lastSweep dedups post-commit chain sweeps by
-	// the watermark they ran at, and rollbacks tells a snapshot index
-	// lookup whether a rollback — which moves index entries back — ran
-	// beside it (lookupAt).
+	// read-only snapshots, and lastSweep dedups post-commit chain sweeps by
+	// the watermark they ran at.
 	lsn       lsnTracker
 	snaps     snapRegistry
 	lastSweep atomic.Uint64
-	rollbacks rollbackClock
 
 	// txFree is the free list of recycled transaction state (tx.go).
 	txFree chan *txState
@@ -241,7 +237,6 @@ func Open(opts Options) (*Database, error) {
 		eventObjs:      make(map[string]oid.OID),
 		indexes:        make(map[idxKey]*index.Hash),
 		indexObjs:      make(map[idxKey]oid.OID),
-		indexByClass:   make(map[string][]*index.Hash),
 		objConsumers:   make(map[oid.OID]*consumerEntry),
 		classConsumers: make(map[string]*classConsumerEntry),
 		objGen:         make(map[oid.OID]uint64),

@@ -45,6 +45,12 @@ const dirShardCount = 64
 // watermark check wires it automatically.
 const lsnNone = ^uint64(0)
 
+// lsnLatest, read at as a snapshot LSN, resolves an entry to its latest
+// committed image: the archived head while a writer window is open, the
+// live image otherwise — an uncommitted delete's included — and none for an
+// uncommitted create.
+const lsnLatest = lsnNone - 1
+
 // objVersion is one archived committed image in an entry's version chain:
 // the state the object had while `lsn` was its current commit. Chains are
 // kept in descending LSN order; fields are immutable once pushed.
@@ -75,9 +81,9 @@ type dirEntry struct {
 	// while it is set, snapshot readers serve from the chain head instead
 	// of obj. delLSN is the commit LSN of a committed delete: the entry is
 	// retained (tombstoned) until the watermark passes it, so older
-	// snapshots still see the object. fresh marks a create — uncommitted,
-	// or committed above the watermark — that some snapshot may not see
-	// yet; the sweep clears it once the watermark passes lsn.
+	// snapshots still see the object. fresh marks a create committed above
+	// the watermark, which some snapshot may not see yet; the sweep clears
+	// it once the watermark passes lsn.
 	lsn          uint64
 	writerActive bool
 	versions     []objVersion
@@ -224,10 +230,10 @@ func (d *objDirectory) unpin(id oid.OID) {
 // insert adds a new entry (replacing any existing one, which callers avoid
 // except for crash-recovery rebuilds). pins is the initial pin count. lsn is
 // the entry's commit LSN: lsnNone for an uncommitted create (invisible to
-// snapshots until commitCreate, and fresh until the watermark passes its
-// commit), 0 for recovered/bootstrapped objects (visible to every snapshot).
+// snapshots until commitCreate), 0 for recovered/bootstrapped objects
+// (visible to every snapshot).
 func (d *objDirectory) insert(id oid.OID, o *object.Object, pins int32, dirty, noEvict bool, lsn uint64) {
-	e := &dirEntry{obj: o, dirty: dirty, noEvict: noEvict, lsn: lsn, fresh: lsn == lsnNone}
+	e := &dirEntry{obj: o, dirty: dirty, noEvict: noEvict, lsn: lsn}
 	e.pins.Store(pins)
 	e.ref.Store(true)
 	s := d.shard(id)
@@ -317,16 +323,14 @@ func (d *objDirectory) setDirty(id oid.OID, dirty bool) (was bool) {
 	return was
 }
 
-// setTomb marks or unmarks an entry as an uncommitted delete. A tombstoned
-// entry is chained: its committed image is still what snapshots read, and a
-// snapshot's index lookup finds the object through the chained set once the
-// delete has taken it out of the index (lookupAt).
+// setTomb marks or unmarks an entry as an uncommitted delete. Snapshots and
+// the secondary indexes still hold its committed image; commitDelete ends
+// that.
 func (d *objDirectory) setTomb(id oid.OID, tomb bool) {
 	s := d.shard(id)
 	s.mu.Lock()
 	if e := s.objs[id]; e != nil {
 		e.tomb = tomb
-		d.rechainLocked(s, id, e)
 	}
 	s.mu.Unlock()
 }
@@ -440,12 +444,11 @@ func (d *objDirectory) chainLocked(s *dirShard, id oid.OID) {
 
 // rechainLocked puts e in or out of the chained set by whether it carries
 // MVCC baggage: a version chain, an open writer window, a committed delete
-// awaiting the watermark, an uncommitted delete, or a fresh create. An
-// entry outside the set has a live image every snapshot sees, and its
-// secondary-index entries are that image's values (lookupAt relies on
-// this). Shard mutex held.
+// awaiting the watermark, or a fresh create. An entry outside the set has a
+// committed image every snapshot sees, and its secondary-index entries are
+// that image's values (lookupAt relies on this). Shard mutex held.
 func (d *objDirectory) rechainLocked(s *dirShard, id oid.OID, e *dirEntry) {
-	if len(e.versions) > 0 || e.writerActive || e.delLSN != 0 || e.tomb || e.fresh {
+	if len(e.versions) > 0 || e.writerActive || e.delLSN != 0 || e.fresh {
 		d.chainLocked(s, id)
 	} else {
 		d.unchainLocked(s, id)
@@ -528,33 +531,49 @@ func (d *objDirectory) popVersion(id oid.OID) {
 
 // commitWrite installs lsn as the entry's current commit LSN, ends the
 // in-place writer window, and opportunistically prunes the chain against
-// watermark w. Returns the number of versions pruned.
-func (d *objDirectory) commitWrite(id oid.OID, lsn, w uint64) int {
+// watermark w. It returns the image the write replaced — the archived head
+// of the window (with no window open nothing was written in place, and the
+// live image is it) — the new live object, and the number of versions
+// pruned. The head survives the prune (its successor's LSN is lsn, above
+// w), and archived fields are never written, so the image stays valid.
+func (d *objDirectory) commitWrite(id oid.OID, lsn, w uint64) (prev snapImage, cur *object.Object, pruned int) {
 	s := d.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.objs[id]
 	if e == nil {
-		return 0
+		return snapImage{}, nil, 0
+	}
+	prev = imageOf(e.obj)
+	if e.writerActive {
+		prev = snapImage{class: e.versions[0].class, fields: e.versions[0].fields}
 	}
 	e.writerActive = false
 	e.lsn = lsn
-	n := d.pruneVersionsLocked(e, w)
-	if n > 0 {
-		d.liveVersions.Add(int64(-n))
+	if pruned = d.pruneVersionsLocked(e, w); pruned > 0 {
+		d.liveVersions.Add(int64(-pruned))
 	}
 	d.rechainLocked(s, id, e)
-	return n
+	return prev, e.obj, pruned
 }
 
-// commitCreate makes an uncommitted create visible to snapshots at lsn.
-func (d *objDirectory) commitCreate(id oid.OID, lsn uint64) {
+// commitCreate makes an uncommitted create visible to snapshots at lsn and
+// returns its object. The entry is fresh — chained — from here until the
+// watermark passes lsn.
+func (d *objDirectory) commitCreate(id oid.OID, lsn uint64) *object.Object {
 	s := d.shard(id)
 	s.mu.Lock()
-	if e := s.objs[id]; e != nil && e.lsn == lsnNone {
-		e.lsn = lsn
+	defer s.mu.Unlock()
+	e := s.objs[id]
+	if e == nil {
+		return nil
 	}
-	s.mu.Unlock()
+	if e.lsn == lsnNone {
+		e.lsn = lsn
+		e.fresh = true
+		d.chainLocked(s, id)
+	}
+	return e.obj
 }
 
 // commitDelete records a committed delete at lsn. The tombstoned entry stays
@@ -563,21 +582,29 @@ func (d *objDirectory) commitCreate(id oid.OID, lsn uint64) {
 // (when no writer window already did): e.lsn moves to the delete's LSN, so a
 // snapshot between the last write and the delete must find the image there.
 // A create that never committed (lsn == lsnNone) archives nothing — no
-// snapshot can ever see it.
-func (d *objDirectory) commitDelete(id oid.OID, lsn uint64) {
+// snapshot can ever see it. It returns the last committed image, the
+// archived head, and false when there is none.
+func (d *objDirectory) commitDelete(id oid.OID, lsn uint64) (prev snapImage, ok bool) {
 	s := d.shard(id)
 	s.mu.Lock()
-	if e := s.objs[id]; e != nil {
-		if !e.writerActive && e.lsn != lsnNone {
-			e.versions = prependVersion(e.versions, objVersion{lsn: e.lsn, class: e.obj.Class(), fields: e.obj.CopyFields()})
-			d.liveVersions.Add(1)
-		}
-		e.writerActive = false
-		e.lsn = lsn
-		e.delLSN = lsn
-		d.chainLocked(s, id)
+	defer s.mu.Unlock()
+	e := s.objs[id]
+	if e == nil {
+		return snapImage{}, false
 	}
-	s.mu.Unlock()
+	committed := e.lsn != lsnNone
+	if !e.writerActive && committed {
+		e.versions = prependVersion(e.versions, objVersion{lsn: e.lsn, class: e.obj.Class(), fields: e.obj.CopyFields()})
+		d.liveVersions.Add(1)
+	}
+	e.writerActive = false
+	e.lsn = lsn
+	e.delLSN = lsn
+	d.chainLocked(s, id)
+	if !committed {
+		return snapImage{}, false
+	}
+	return snapImage{class: e.versions[0].class, fields: e.versions[0].fields}, true
 }
 
 // applyCommitted installs a replicated committed image at lsn: the replica-
@@ -829,8 +856,9 @@ func (d *objDirectory) forEachSnapshot(snap uint64, fn func(id oid.OID, c *schem
 // chainedAt appends to out every chained entry whose image visible at
 // snapshot LSN snap is covered by an index on class.attr and holds v there.
 // These are the objects an index probe for v can miss at snap: the index
-// holds live values, and an object whose value moved away from v after snap
-// carries a version, a delete or a tombstone until the watermark passes it.
+// holds the latest committed values, and an object whose value moved away
+// from v after snap carries a version or a delete until the watermark
+// passes it.
 func (d *objDirectory) chainedAt(snap uint64, class, attr string, v value.Value, out []oid.OID) []oid.OID {
 	for m := d.chainedMask.Load(); m != 0; m &= m - 1 {
 		s := &d.shards[bits.TrailingZeros64(m)]

@@ -123,9 +123,11 @@ func (db *Database) watermark() uint64 {
 	return db.snaps.watermark(&db.lsn)
 }
 
-// installVersions publishes the transaction's write set at commit LSN c.
-// Runs in the commit head — 2PL locks still held, c not yet ended — so no
-// snapshot at or above c exists until every entry below is installed.
+// installVersions publishes the transaction's write set at commit LSN c:
+// each entry's new version, then its secondary-index entries (reindex), so
+// an index move is chained before a snapshot lookup can see it. Runs in the
+// commit head — 2PL locks still held, c not yet ended — so no snapshot at
+// or above c exists until every entry below is installed.
 func (db *Database) installVersions(t *Tx, c uint64) {
 	w := db.watermark()
 	pruned := 0
@@ -133,16 +135,20 @@ func (db *Database) installVersions(t *Tx, c uint64) {
 		if t.deleted[id] {
 			continue
 		}
-		db.dir.commitCreate(id, c)
+		db.reindex(id, snapImage{}, imageOf(db.dir.commitCreate(id, c)))
 	}
 	for id := range t.dirty {
 		if t.created[id] || t.deleted[id] {
 			continue
 		}
-		pruned += db.dir.commitWrite(id, c, w)
+		prev, cur, n := db.dir.commitWrite(id, c, w)
+		db.reindex(id, prev, imageOf(cur))
+		pruned += n
 	}
 	for id := range t.deleted {
-		db.dir.commitDelete(id, c)
+		if prev, ok := db.dir.commitDelete(id, c); ok {
+			db.reindex(id, prev, snapImage{})
+		}
 	}
 	if pruned > 0 {
 		db.met.versionPrunes.Add(uint64(pruned))

@@ -545,7 +545,7 @@ func (db *Database) applyRecord(r wal.Record, c, w uint64) error {
 	if err := db.storeRecord(r, cls); err != nil {
 		return err
 	}
-	db.reindex(r.OID, prev, o)
+	db.reindex(r.OID, imageOf(prev), imageOf(o))
 	return db.applyCatalog(o, prev)
 }
 

@@ -496,7 +496,7 @@ func testSnapshotLookup(t *testing.T, paged bool) {
 	expect(fresh, 5, ids[5])
 	db.Abort(fresh)
 
-	// The 2PL path reads the index as it stands.
+	// The 2PL path reads the committed entries.
 	if err := db.Atomically(func(tx *Tx) error {
 		got, _, err := db.LookupByAttr(tx, "PX", "x", value.Float(2))
 		if err == nil && len(got) != 2 {
@@ -511,12 +511,12 @@ func testSnapshotLookup(t *testing.T, paged bool) {
 	}
 }
 
-// TestSnapshotLookupStress races snapshot lookups against writers whose
-// every transaction moves, creates or deletes an indexed object and then
-// aborts, beside 2PL readers whose commits keep the evictor busy. The
-// committed state never changes, so every lookup must return exactly the
-// objects created with that value — whatever in-flight moves, undos and
-// evictions it ran into. Run with -race.
+// TestSnapshotLookupStress races snapshot and 2PL lookups against writers
+// whose every transaction moves, creates or deletes an indexed object and
+// then aborts, beside 2PL readers whose commits keep the evictor busy. The
+// committed state never changes, so every lookup — at a snapshot or not —
+// must return exactly the objects created with that value, whatever
+// in-flight writes, undos and evictions it ran into. Run with -race.
 func TestSnapshotLookupStress(t *testing.T) {
 	db := MustOpen(Options{Dir: "db", VFS: vfs.NewMem(), MaxResidentObjects: 8, Output: io.Discard})
 	defer db.Close()
@@ -580,21 +580,27 @@ func TestSnapshotLookupStress(t *testing.T) {
 			return err
 		})
 	})
+	check := func(tx *Tx, v int) error {
+		got, _, err := db.LookupByAttr(tx, "PX", "x", value.Float(float64(v)))
+		if err != nil {
+			return err
+		}
+		got = slices.Clone(got)
+		value.SortRefs(got)
+		if !slices.Equal(got, want[v]) {
+			_, snap := tx.Snapshot()
+			return fmt.Errorf("lookup of x=%d (snapshot %v) = %v, want %v", v, snap, got, want[v])
+		}
+		return nil
+	}
 	for r := 0; r < 2; r++ {
 		run(func(i int) error {
 			snap := db.BeginSnapshot()
 			defer db.Abort(snap)
-			v := (i + r) % values
-			got, _, err := db.LookupByAttr(snap, "PX", "x", value.Float(float64(v)))
-			if err != nil {
-				return err
-			}
-			got = slices.Clone(got)
-			value.SortRefs(got)
-			if !slices.Equal(got, want[v]) {
-				return fmt.Errorf("snapshot lookup of x=%d = %v, want %v", v, got, want[v])
-			}
-			return nil
+			return check(snap, (i+r)%values)
+		})
+		run(func(i int) error {
+			return db.Atomically(func(tx *Tx) error { return check(tx, (i+r+1)%values) })
 		})
 	}
 	wg.Wait()

@@ -164,15 +164,9 @@ type undoRec struct {
 func (t *Tx) onUndo(fn func()) { t.undo = append(t.undo, undoRec{fn: fn}) }
 
 // rollback runs the undo list in reverse: the 2PL locks are still held, and
-// each version pops only after its object's fields are restored. The undo
-// runs inside Database.rollbacks, so a snapshot index lookup that raced it
-// retries (lookupAt).
+// each version pops only after its object's fields are restored. No
+// secondary index holds uncommitted state, so none is touched.
 func (t *Tx) rollback() {
-	if len(t.undo) == 0 {
-		return
-	}
-	t.db.rollbacks.begin()
-	defer t.db.rollbacks.end()
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		u := &t.undo[i]
 		if u.fn != nil {
@@ -396,7 +390,6 @@ func (db *Database) NewObject(t *Tx, class string, inits map[string]value.Value)
 	db.dir.insert(id, o, pins, !noEvict, noEvict, lsnNone)
 	t.created[id] = true
 	t.onUndo(func() { db.dir.remove(id) })
-	db.indexObjectAdd(t, o)
 	return id, nil
 }
 
@@ -589,10 +582,7 @@ func (db *Database) setAttr(t *Tx, id oid.OID, attr string, v value.Value, calle
 		return fmt.Errorf("core: %s.%s: want %s, got %s", o.Class().Name, attr, a.Type, v.Kind())
 	}
 	t.recordWrite(o)
-	oldV := o.GetSlot(a.Slot())
-	newV := a.Type.Widen(v)
-	o.SetSlot(a.Slot(), newV)
-	db.indexWrite(t, o, attr, oldV, newV)
+	o.SetSlot(a.Slot(), a.Type.Widen(v))
 	return nil
 }
 
@@ -608,18 +598,13 @@ func (db *Database) Set(t *Tx, id oid.OID, attr string, v value.Value) error {
 
 // DeleteObject removes an object. Subscriptions from or to it are dropped.
 func (db *Database) DeleteObject(t *Tx, id oid.OID) error {
-	o, err := db.lockObject(t, id, txn.Exclusive)
-	if err != nil {
+	if _, err := db.lockObject(t, id, txn.Exclusive); err != nil {
 		return err
 	}
 	// Tombstone, don't remove: the entry keeps the object for the undo
 	// closure and blocks fault-in from resurrecting the stale heap image
-	// while the delete is uncommitted. Commit sweeps tombstones away. The
-	// tombstone (which chains the entry) comes before the index removal, so
-	// a snapshot lookup that misses the object in the index finds it in the
-	// chained set.
+	// while the delete is uncommitted. Commit sweeps tombstones away.
 	db.dir.setTomb(id, true)
-	db.indexObjectRemove(t, o)
 	db.mu.Lock()
 	savedSubs := db.subs[id]
 	delete(db.subs, id)
