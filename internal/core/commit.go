@@ -401,9 +401,11 @@ func (sc *commitScratch) release() {
 // them before the batch is durable and in the heap. A commit that logged
 // nothing ends it here.
 //
-//	holds:     2PL locks, pins; directory shard locks, one at a time
+//	holds:     2PL locks, pins; directory shard locks, one at a time, each
+//	           released before db.mu shared → an index's mutex (reindex)
 //	blocks on: nothing
-//	publishes: the new versions, to snapshots once the LSN ends
+//	publishes: the new versions and index entries, to snapshots once the
+//	           LSN ends
 func (db *Database) installCommit(t *Tx, c *commitState) {
 	if c.lsn == 0 {
 		return
